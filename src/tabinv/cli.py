@@ -11,10 +11,12 @@ import json
 import sys
 
 from .enumeration import (
+    REPORT_VALUES,
     STATISTICS,
+    DistributionPolynomial,
     count_syt,
-    distribution,
     equidistribution_report,
+    statistic_values,
 )
 from .foata import (
     bridge_check,
@@ -27,9 +29,7 @@ from .foata import (
     perm_phi_direct,
 )
 from .inversion import (
-    inv_code,
     inv_statistic,
-    inversion_pairs,
     inversion_path_set,
     phi,
     phi_trace,
@@ -78,18 +78,19 @@ def _path_json(path, content=None) -> dict:
 def cmd_stats(args) -> int:
     t = _load_tableau(args.input)
     des = sorted(descent_set(t))
+    ips = inversion_path_set(t)
+    pairs = sorted((t.content(big), t.content(small)) for big, small in ips.pairs)
+    code = [0] * t.n
+    for big, _ in pairs:
+        code[big - 1] += 1
     stats = {
         "n": t.n,
         "descents": des,
         "maj": maj(t),
         "comaj": comaj(t),
-        "inv": inv_statistic(t),
-        "code": inv_code(t),
+        "inv": len(pairs),
+        "code": code,
     }
-    pairs = sorted(
-        (t.content(big), t.content(small)) for big, small in inversion_pairs(t)
-    )
-    ips = inversion_path_set(t)
     path_rows = sorted(
         (t.content(cell), cell, p) for cell, p in ips.paths.items()
     )
@@ -184,8 +185,10 @@ def cmd_enumerate(args) -> int:
         if s not in STATISTICS:
             raise ValueError(f"unknown statistic {s!r}; choose from {sorted(STATISTICS)}")
     count = count_syt(shape)
-    polys = {s: distribution(shape, s, workers=args.par) for s in stats}
-    report = equidistribution_report(shape) if args.check else None
+    names = list(dict.fromkeys(stats + (list(REPORT_VALUES) if args.check else [])))
+    values = statistic_values(shape, names, workers=args.par)
+    polys = {s: DistributionPolynomial.from_values(values[s]) for s in stats}
+    report = equidistribution_report(shape, values) if args.check else None
     if args.format == "json":
         out = {
             "shape": format_shape(shape),

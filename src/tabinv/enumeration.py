@@ -195,10 +195,37 @@ def distribution(s: Shape, stat: str, workers: int = 1) -> DistributionPolynomia
     """Distribution polynomial of a statistic over all SYT of s."""
     if stat not in STATISTICS:
         raise ValueError(f"unknown statistic {stat!r}; choose from {sorted(STATISTICS)}")
-    if workers > 1:
-        return _parallel_distribution(s, stat, workers)
-    fn = STATISTICS[stat]
-    return DistributionPolynomial.from_values([fn(t) for t in enumerate_syt(s)])
+    return DistributionPolynomial.from_values(statistic_values(s, [stat], workers)[stat])
+
+
+# Per-tableau values besides the statistics: the cells that pin the classes
+# of equidistribution_report.
+PINS: dict[str, Callable[[Tableau], Cell]] = {
+    "cell_n": lambda t: t.positions()[t.n],
+    "cell_1": lambda t: t.positions()[1],
+}
+REPORT_VALUES = ("inv", "maj", "cinv", "comaj", "cell_n", "cell_1")
+
+
+def _values(tableaux: Iterator[Tableau], names: list[str]) -> dict[str, list]:
+    fns = [STATISTICS[name] if name in STATISTICS else PINS[name] for name in names]
+    values: dict[str, list] = {name: [] for name in names}
+    for t in tableaux:
+        for name, fn in zip(names, fns):
+            values[name].append(fn(t))
+    return values
+
+
+def statistic_values(s: Shape, names: list[str], workers: int = 1) -> dict[str, list]:
+    """Each named statistic or pin over all SYT of s, in enumeration order,
+    from a single enumeration pass; with workers > 1 the pass is split by the
+    corner holding n over that many processes."""
+    if workers <= 1:
+        return _values(enumerate_syt(s), names)
+    corners = _corners_by_row(s)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunks = list(pool.map(_corner_values, [s] * len(corners), corners, [names] * len(corners)))
+    return {name: [v for chunk in chunks for v in chunk[name]] for name in names}
 
 
 def _syt_with_top_corner(s: Shape, corner: Cell) -> Iterator[Tableau]:
@@ -210,19 +237,8 @@ def _syt_with_top_corner(s: Shape, corner: Cell) -> Iterator[Tableau]:
         yield _tableau_from_assignment(s, full)
 
 
-def _corner_values(s: Shape, corner: Cell, stat: str) -> list[int]:
-    fn = STATISTICS[stat]
-    return [fn(t) for t in _syt_with_top_corner(s, corner)]
-
-
-def _parallel_distribution(s: Shape, stat: str, workers: int) -> DistributionPolynomial:
-    corners = _corners_by_row(s)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = list(pool.map(_corner_values, [s] * len(corners), corners, [stat] * len(corners)))
-    values: list[int] = []
-    for chunk in chunks:
-        values.extend(chunk)
-    return DistributionPolynomial.from_values(values)
+def _corner_values(s: Shape, corner: Cell, names: list[str]) -> dict[str, list]:
+    return _values(_syt_with_top_corner(s, corner), names)
 
 
 @dataclass
@@ -251,23 +267,22 @@ class EquidistributionReport:
         return all(c.ok for c in self.classes)
 
 
-def equidistribution_report(s: Shape) -> EquidistributionReport:
+def equidistribution_report(s: Shape, values: dict[str, list] | None = None) -> EquidistributionReport:
     """Compare Inv against maj and cinv against comaj.
 
     Straight shapes are compared globally; skew shapes per class, pinning the
     cell holding n (Inv/maj) respectively the cell holding 1 (cinv/comaj).
+    `values` holds at least REPORT_VALUES from statistic_values(s, ...); it
+    is computed when not given.
     """
-    tableaux = list(enumerate_syt(s))
-    values = {name: [fn(t) for t in tableaux] for name, fn in STATISTICS.items()}
+    if values is None:
+        values = statistic_values(s, list(REPORT_VALUES))
     classes: list[ClassReport] = []
 
-    def compare(a: str, b: str, pin_content: int | None):
-        if pin_content is None:
-            groups: dict[Cell | None, list[int]] = {None: list(range(len(tableaux)))}
-        else:
-            groups = {}
-            for idx, t in enumerate(tableaux):
-                groups.setdefault(t.positions()[pin_content], []).append(idx)
+    def compare(a: str, b: str, pin: str | None):
+        groups: dict[Cell | None, list[int]] = {}
+        for idx in range(len(values[a])):
+            groups.setdefault(values[pin][idx] if pin else None, []).append(idx)
         for cell in sorted(groups, key=lambda c: c or (0, 0)):
             idxs = groups[cell]
             classes.append(
@@ -281,6 +296,6 @@ def equidistribution_report(s: Shape) -> EquidistributionReport:
             )
 
     straight = s.is_straight
-    compare("inv", "maj", None if straight else s.size)
-    compare("cinv", "comaj", None if straight else 1)
+    compare("inv", "maj", None if straight else "cell_n")
+    compare("cinv", "comaj", None if straight else "cell_1")
     return EquidistributionReport(s, classes)

@@ -270,9 +270,9 @@ def rotate_complement(t: Tableau) -> Tableau:
 
     Cell (i, j) goes to (R+1-i, C+1-j) for an R-row, C-column bounding box and
     content c becomes n+1-c.  An involution on tableaux whose shape has no
-    leading empty rows or columns.
+    leading empty rows or columns; on other shapes those rows and columns end
+    up trailing and are trimmed, and `rotate_complement_into` restores them.
     """
-    n = t.n
     big_r, big_c = t.shape.n_rows, t.shape.width
     padded_inner = [t.shape.inner_at(i) for i in range(1, big_r + 1)]
     outer = [big_c - padded_inner[big_r - i] for i in range(1, big_r + 1)]
@@ -282,12 +282,22 @@ def rotate_complement(t: Tableau) -> Tableau:
         inner.pop()
     while inner and inner[-1] == 0:
         inner.pop()
-    shape = Shape(tuple(outer), tuple(inner))
+    return rotate_complement_into(t, Shape(tuple(outer), tuple(inner)))
+
+
+def rotate_complement_into(t: Tableau, shape: Shape) -> Tableau:
+    """Rotate and complement t as rotate_complement does, onto `shape`, inside
+    the larger of the two bounding boxes.
+
+    rotate_complement_into(rotate_complement(t), t.shape) == t for every t.
+    """
+    big_r = max(t.shape.n_rows, shape.n_rows)
+    big_c = max(t.shape.width, shape.width)
     rows: list[list[int | None]] = [
         [None] * shape.outer[i - 1] for i in range(1, shape.n_rows + 1)
     ]
     for (i, j) in t.shape.cells():
-        rows[big_r - i][big_c - j] = n + 1 - t.content((i, j))
+        rows[big_r - i][big_c - j] = t.n + 1 - t.content((i, j))
     return make_tableau(shape, rows)
 
 

@@ -76,3 +76,19 @@ def test_foata_inverse_round_trip(capsys):
     assert "output=7143562" in out
     assert main(["foata", "--perm", "7143562", "--inverse"]) == 0
     assert "output=4137562" in capsys.readouterr().out
+
+
+def test_enumerate_check_makes_one_enumeration_pass(capsys, monkeypatch):
+    import tabinv.enumeration as enumeration
+
+    passes = []
+    enumerate_syt = enumeration.enumerate_syt
+
+    def counting(shape):
+        passes.append(shape)
+        return enumerate_syt(shape)
+
+    monkeypatch.setattr(enumeration, "enumerate_syt", counting)
+    assert main(["enumerate", "--shape", "3,2/1", "--stat", "maj,inv,comaj,cinv", "--check"]) == 0
+    assert "check=pass" in capsys.readouterr().out
+    assert len(passes) == 1

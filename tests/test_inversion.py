@@ -1,17 +1,22 @@
 """Lattice paths, side classification, cycling maps, and the inversion
 statistic, including its north-east (comaj) counterpart."""
 
+import random
+
 import pytest
 
+import random_syt
 from tabinv import (
     ABOVE,
     BELOW,
+    AlgorithmError,
     LatticePath,
     cinv_statistic,
     classify_side,
     comaj,
     comaj_map,
     descent_set,
+    distribution,
     enumerate_syt,
     forward_blocks,
     inv_code,
@@ -31,7 +36,10 @@ from tabinv import (
     psi_trace,
     rotate_complement,
     tableau_from_rows,
+    validate_filling,
 )
+from tabinv.inversion import _Grid
+from tabinv.model import Shape, Tableau, TableauError, rotate_complement_into
 
 T22 = tableau_from_rows([[1, 2], [3, 4]])
 T22B = tableau_from_rows([[1, 3], [2, 4]])
@@ -187,3 +195,141 @@ class TestNeVariant:
     def test_comaj_map_fixes_cell_of_one(self):
         for t in enumerate_syt(parse_shape("3,2,1")):
             assert comaj_map(t).positions()[1] == t.positions()[1]
+
+
+UNNORMALIZED = ("2,2/2", "3,3/1,1", "3,3,3/3", "3,3,1/1,1,1")
+
+
+class TestUnnormalizedShapes:
+    """Shapes with an empty first row or column, which rotate_complement
+    trims; the NE map must still land in the shape it started from."""
+
+    def test_rotate_complement_into_restores_the_shape(self):
+        for text in UNNORMALIZED:
+            for t in enumerate_syt(parse_shape(text)):
+                assert rotate_complement_into(rotate_complement(t), t.shape) == t
+
+    def test_comaj_map_stays_in_the_shape(self):
+        for text in UNNORMALIZED:
+            shape = parse_shape(text)
+            tableaux = list(enumerate_syt(shape))
+            images = set()
+            for t in tableaux:
+                image = comaj_map(t)
+                assert image.shape == t.shape
+                assert cinv_statistic(t) == comaj(image)
+                assert image.positions()[1] == t.positions()[1]
+                images.add(image.rows)
+            assert images == {t.rows for t in tableaux}
+
+    def test_ne_path_ends_in_the_box_corner(self):
+        for text in UNNORMALIZED:
+            for t in enumerate_syt(parse_shape(text)):
+                for k in range(1, t.n + 1):
+                    p = ne_inversion_path(t, k)
+                    x = p.start[0] + p.steps.count("E")
+                    y = p.start[1] + p.steps.count("N")
+                    assert (x, y) == (t.shape.width, t.shape.n_rows)
+
+
+def _run_check(grid, touched):
+    """True when the step check accepts the grid's current contents."""
+    try:
+        grid.check(touched, "test")
+    except AlgorithmError:
+        return False
+    return True
+
+
+class TestStepCheck:
+    """The per-step check must be exactly as strong as validating the whole
+    tableau after each step."""
+
+    def test_local_check_agrees_with_full_validation(self):
+        rng = random.Random(2024)
+        verdicts = []
+        for _ in range(600):
+            n = rng.randint(2, 30)
+            t = random_syt.straight_syt(rng, n) if rng.random() < 0.5 else random_syt.skew_syt(rng, n, rng.randint(1, 4))
+            grid = _Grid(t)
+            pos = t.positions()
+            kind = rng.randrange(3)
+            if kind == 0:  # swap consecutive contents, often still standard
+                c = rng.randint(1, n - 1)
+                cells = [pos[c], pos[c + 1]]
+                new = [c + 1, c]
+            else:
+                cells = rng.sample(t.shape.cells(), rng.randint(1, min(4, n)))
+                old = [t.content(cell) for cell in cells]
+                new = rng.sample(old, len(old)) if kind == 1 else [rng.randint(0, n + 1) for _ in cells]
+            touched = [(cell, t.content(cell)) for cell in cells]
+            rows = [list(r) for r in t.rows]
+            for (i, j), v in zip(cells, new):
+                grid.g[i][j] = v
+                rows[i - 1][j - 1] = v
+            accepted = _run_check(grid, touched)
+            assert accepted == (not validate_filling(t.shape, rows)), (t.rows, cells, new)
+            verdicts.append(accepted)
+        assert 100 < sum(verdicts) < 500
+
+    def test_accepted_check_updates_positions(self):
+        t = tableau_from_rows([[1, 2], [3, 4]])
+        grid = _Grid(t)
+        grid.g[1][2], grid.g[2][1] = 3, 2
+        grid.check([((1, 2), 2), ((2, 1), 3)], "test")
+        assert grid.pos == tableau_from_rows([[1, 3], [2, 4]]).positions()
+
+    @pytest.mark.parametrize("fault", ["off_by_one", "duplicate"])
+    def test_bad_cycling_write_raises(self, monkeypatch, fault):
+        t = tableau_from_rows([[1, 2, 5], [3, 4, 6], [7]])
+        image = psi(t)
+        rotate = _Grid.rotate
+
+        def bad_rotate(self, blocks, touched):
+            rotate(self, blocks, touched)
+            if touched:
+                (i, j), (i2, j2) = touched[0][0], touched[-1][0]
+                self.g[i][j] = self.g[i][j] + 1 if fault == "off_by_one" else self.g[i2][j2]
+
+        monkeypatch.setattr(_Grid, "rotate", bad_rotate)
+        with pytest.raises(AlgorithmError):
+            psi(t)
+        with pytest.raises(AlgorithmError):
+            phi(image)
+
+    @pytest.mark.parametrize(
+        "shape,rows",
+        [
+            ((2,), ((2, 1),)),
+            ((2, 2), ((2, 1), (3, 4))),
+            ((2, 2), ((1, 2), (2, 4))),
+            ((3, 2), ((1, 2, 3), (4, 9))),
+        ],
+    )
+    def test_non_standard_input_raises(self, shape, rows):
+        t = Tableau(Shape(shape), rows)
+        for fn in (psi, phi, inv_statistic, comaj_map, cinv_statistic):
+            with pytest.raises(TableauError):
+                fn(t)
+
+
+class TestRandomLarge:
+    """Fixed-seed random tableaux with 25 to 80 cells."""
+
+    @staticmethod
+    def tableaux():
+        rng = random.Random(80)
+        for n in range(25, 81):
+            yield random_syt.straight_syt(rng, n)
+            yield random_syt.skew_syt(rng, n, rng.randint(1, n // 4))
+
+    def test_bijection_and_statistics(self):
+        for t in self.tableaux():
+            image = psi(t)
+            assert phi(image) == t
+            assert inv_statistic(t) == maj(image)
+            assert cinv_statistic(t) == comaj(comaj_map(t))
+
+    def test_q_hook_oracle_for_inv(self):
+        shape = (5, 3, 2, 1, 1)
+        assert distribution(Shape(shape), "inv").coefficients == random_syt.q_hook_maj(shape)
