@@ -28,14 +28,7 @@ from .foata import (
     perm_maj,
     perm_phi_direct,
 )
-from .inversion import (
-    inv_statistic,
-    inversion_path_set,
-    phi,
-    phi_trace,
-    psi,
-    psi_trace,
-)
+from .inversion import inversion_path_set, map_trace
 from .model import (
     ShapeError,
     TableauError,
@@ -139,14 +132,9 @@ def _print_stage(stage, label: str) -> None:
 def cmd_map(args) -> int:
     t = _load_tableau(args.input)
     forward = args.direction == "forward"
-    if forward:
-        result, stages = psi_trace(t)
-        pair = (inv_statistic(t), maj(result))
-        label = "psi"
-    else:
-        result, stages = phi_trace(t)
-        pair = (inv_statistic(result), maj(t))
-        label = "phi"
+    result, stages, inv = map_trace(t, forward)
+    pair = (inv, maj(result) if forward else maj(t))
+    label = "psi" if forward else "phi"
     if args.format == "json":
         out = {
             "direction": args.direction,
@@ -179,6 +167,8 @@ def cmd_map(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.par < 1:
+        raise ValueError("--par must be at least 1")
     shape = parse_shape(args.shape)
     stats = [s.strip() for s in args.stat.split(",") if s.strip()]
     for s in stats:

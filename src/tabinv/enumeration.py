@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from .inversion import cinv_statistic, inv_statistic
-from .model import Cell, Shape, Tableau, corner_cells, make_tableau, validate_filling
+from .inversion import AlgorithmError, cinv_statistic, inv_statistic
+from .model import Cell, Shape, Tableau, corner_cells, validate_filling
 from .stats import comaj, maj
 
 STATISTICS: dict[str, Callable[[Tableau], int]] = {
@@ -45,36 +45,79 @@ def normalize_shape(s: Shape) -> Shape:
     return Shape(tuple(outer), tuple(inner))
 
 
-def _corners_by_row(s: Shape) -> list[Cell]:
-    return sorted(corner_cells(s), key=lambda c: -c[0])
+def _free_region(s: Shape) -> tuple[list[int], list[int]]:
+    """Inner and outer widths of the rows of s, each list with a 0 appended
+    for the row above the top one."""
+    inner = [s.inner_at(i) for i in range(1, s.n_rows + 1)] + [0]
+    return inner, list(s.outer) + [0]
 
 
-def _assignments(s: Shape, k: int) -> Iterator[dict[Cell, int]]:
-    """All SYT fillings as cell->content dicts, largest content placed in each
-    removable corner, corners visited in descending row order."""
-    if k == 0:
-        yield {}
-        return
-    for corner in _corners_by_row(s):
-        for partial in _assignments(s.remove_cell(corner), k - 1):
-            full = dict(partial)
-            full[corner] = k
-            yield full
+def _corner_rows(inner: list[int], length: list[int]) -> list[int]:
+    """Rows (0-based, ascending) whose rightmost free cell is an outer corner
+    of the free cells: the row has a free cell and the row above is shorter."""
+    return [i for i in range(len(inner) - 1) if inner[i] < length[i] > length[i + 1]]
 
 
-def _tableau_from_assignment(s: Shape, assignment: dict[Cell, int]) -> Tableau:
-    rows: list[list[int | None]] = [
-        [None] * s.outer[i - 1] for i in range(1, s.n_rows + 1)
-    ]
-    for (i, j), v in assignment.items():
-        rows[i - 1][j - 1] = v
-    return make_tableau(s, rows)
+def _fillings(s: Shape, prefix: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int | None, ...], ...]]:
+    """The rows of every SYT of s, as enumerate_syt orders them, whose
+    largest contents sit where `prefix` puts them.
+
+    Contents n, n-1, ..., 1 go one at a time into the rightmost free cell of
+    a row; at each content the candidate rows are those of `_corner_rows`,
+    highest first, and the filling backtracks in place.  `prefix` fixes the
+    rows of the first len(prefix) contents.
+
+    Each placement is checked: the cell must be free, and its right and
+    upper neighbours must be outside the shape or already filled, that is
+    hold larger contents.  Every cell is filled once and every pair of
+    adjacent cells is checked when its smaller cell is filled, so on each
+    yielded filling this is a full standardness check.  A failure raises
+    AlgorithmError.
+    """
+    n = s.size
+    inner, length = _free_region(s)
+    # Free cells hold 0 and inner cells None; the empty row on top is the
+    # upper neighbour of the top row.
+    rows = [[None] * q + [0] * (p - q) for p, q in zip(s.outer, inner)] + [[]]
+    placed: list[int] = []
+
+    def place(i: int) -> None:
+        row, up, j = rows[i], rows[i + 1], length[i] - 1
+        k = n - len(placed)
+        if row[j] != 0 or (j + 1 < len(row) and row[j + 1] == 0) or (j < len(up) and up[j] == 0):
+            raise AlgorithmError(f"content {k} offered to cell ({i + 1},{j + 1}) of the partial filling {rows[:-1]}")
+        row[j] = k
+        length[i] = j
+        placed.append(i)
+
+    def unplace() -> None:
+        i = placed.pop()
+        rows[i][length[i]] = 0
+        length[i] += 1
+
+    for i in prefix:
+        place(i)
+    stack: list[list[int]] = []  # the untried rows at each depth below the prefix
+    while True:
+        if len(placed) == n:
+            yield tuple(map(tuple, rows[:-1]))
+            stack.append([])
+        else:
+            stack.append(_corner_rows(inner, length))
+        while not stack[-1]:
+            stack.pop()
+            if not stack:
+                return
+            unplace()
+        place(stack[-1].pop())
 
 
 def enumerate_syt(s: Shape) -> Iterator[Tableau]:
-    """Every SYT of s exactly once, in a deterministic order."""
-    for assignment in _assignments(s, s.size):
-        yield _tableau_from_assignment(s, assignment)
+    """Every SYT of s exactly once, in a deterministic order: depth first,
+    placing n, n-1, ..., 1 each in a removable corner of the cells still
+    free, corners in descending row order."""
+    for rows in _fillings(s):
+        yield Tableau(s, rows)
 
 
 @lru_cache(maxsize=None)
@@ -218,27 +261,35 @@ def _values(tableaux: Iterator[Tableau], names: list[str]) -> dict[str, list]:
 
 def statistic_values(s: Shape, names: list[str], workers: int = 1) -> dict[str, list]:
     """Each named statistic or pin over all SYT of s, in enumeration order,
-    from a single enumeration pass; with workers > 1 the pass is split by the
-    corner holding n over that many processes."""
+    from a single enumeration pass; with workers > 1 the pass is split into
+    prefix chunks (see `_prefixes`) that the worker processes share."""
     if workers <= 1:
         return _values(enumerate_syt(s), names)
-    corners = _corners_by_row(s)
+    prefixes = _prefixes(s, 8 * workers)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = list(pool.map(_corner_values, [s] * len(corners), corners, [names] * len(corners)))
+        chunks = list(pool.map(_prefix_values, [s] * len(prefixes), prefixes, [names] * len(prefixes)))
     return {name: [v for chunk in chunks for v in chunk[name]] for name in names}
 
 
-def _syt_with_top_corner(s: Shape, corner: Cell) -> Iterator[Tableau]:
-    """SYT of s whose largest content sits in the given corner."""
-    n = s.size
-    for partial in _assignments(s.remove_cell(corner), n - 1):
-        full = dict(partial)
-        full[corner] = n
-        yield _tableau_from_assignment(s, full)
+def _prefixes(s: Shape, count: int) -> list[tuple[int, ...]]:
+    """The prefixes of `_fillings` at the shallowest depth that has at least
+    `count` of them (or at depth n), in enumeration order, so the fillings
+    of each prefix in turn are all fillings in order."""
+    inner, length = _free_region(s)
+    level = [((), length)]
+    for _ in range(s.size):
+        if len(level) >= count:
+            break
+        level = [
+            (prefix + (i,), lengths[:i] + [lengths[i] - 1] + lengths[i + 1 :])
+            for prefix, lengths in level
+            for i in reversed(_corner_rows(inner, lengths))
+        ]
+    return [prefix for prefix, _ in level]
 
 
-def _corner_values(s: Shape, corner: Cell, names: list[str]) -> dict[str, list]:
-    return _values(_syt_with_top_corner(s, corner), names)
+def _prefix_values(s: Shape, prefix: tuple[int, ...], names: list[str]) -> dict[str, list]:
+    return _values((Tableau(s, rows) for rows in _fillings(s, prefix)), names)
 
 
 @dataclass

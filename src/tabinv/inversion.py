@@ -334,15 +334,6 @@ def _cycled(t: Tableau, step, pivots) -> Tableau:
     return grid.tableau()
 
 
-def _traced(t: Tableau, step, pivots) -> tuple[Tableau, list[MapStage]]:
-    grid = _Grid(t)
-    stages = []
-    for k in pivots:
-        h, blocks = step(grid, k)
-        stages.append(MapStage(k, _lattice_path(grid.pos[k], h), tuple(map(tuple, blocks)), grid.tableau()))
-    return grid.tableau(), stages
-
-
 def psi_k(t: Tableau, k: int) -> Tableau:
     """One forward cycling step for pivot k (identity for k <= 2)."""
     _check_pivot(t, k)
@@ -355,7 +346,7 @@ def psi(t: Tableau) -> Tableau:
 
 
 def psi_trace(t: Tableau) -> tuple[Tableau, list[MapStage]]:
-    return _traced(t, _Grid.psi_step, range(t.n, 2, -1))
+    return map_trace(t)[:2]
 
 
 def phi_k(s: Tableau, k: int) -> Tableau:
@@ -370,7 +361,7 @@ def phi(s: Tableau) -> Tableau:
 
 
 def phi_trace(s: Tableau) -> tuple[Tableau, list[MapStage]]:
-    return _traced(s, _Grid.phi_step, range(3, s.n + 1))
+    return map_trace(s, forward=False)[:2]
 
 
 @dataclass
@@ -393,12 +384,18 @@ def _anchored_heights(t: Tableau, absent: int = 0) -> list[tuple[Cell, list[int]
     cells are distinct and the exempt cell is where 1 ends up.
     """
     grid = _Grid(t)
-    paths = []
-    for k in range(t.n, 1, -1):
-        h = grid.psi_step(k, absent)[0] if k > 2 else grid.heights(k, absent)
-        paths.append((grid.pos[k], h))
-    i, j = grid.pos[1]
-    paths.append(((i, j), [0] * j + [i] * (grid.width + 1 - j)))
+    paths = [(grid.pos[k], grid.psi_step(k, absent)[0]) for k in range(t.n, 2, -1)]
+    return paths + _end_paths(grid, absent)
+
+
+def _end_paths(grid: _Grid, absent: int = 0) -> list[tuple[Cell, list[int]]]:
+    """The paths of pivot 2 and of the exempt cell, on a grid at the output
+    end of the forward cascade."""
+    n = len(grid.pos) - 1
+    paths = [(grid.pos[2], grid.heights(2, absent))] if n >= 2 else []
+    if n:
+        i, j = grid.pos[1]
+        paths.append(((i, j), [0] * j + [i] * (grid.width + 1 - j)))
     return paths
 
 
@@ -437,6 +434,29 @@ def inversion_pairs(t: Tableau) -> set[tuple[Cell, Cell]]:
 
 def inv_statistic(t: Tableau) -> int:
     return sum(1 for _ in _pairs(t, _anchored_heights(t)))
+
+
+def map_trace(t: Tableau, forward: bool = True) -> tuple[Tableau, list[MapStage], int]:
+    """psi(t), or phi(t) when not forward, with every pivot stage, and the
+    inversion statistic of the tableau at psi's input end (t, or phi(t)),
+    counted from the paths that same cascade records.
+
+    phi_k reconstructs on its input exactly the path that psi_k takes on
+    phi_k's output, so the phi cascade records the paths of the psi cascade
+    of its result; pivot 2 and the exempt cell take theirs at psi's output
+    end (the result, or t)."""
+    grid = _Grid(t)
+    ends = [] if forward else _end_paths(grid)
+    pivots = range(t.n, 2, -1) if forward else range(3, t.n + 1)
+    stages, paths = [], []
+    for k in pivots:
+        h, blocks = grid.psi_step(k) if forward else grid.phi_step(k)
+        paths.append((grid.pos[k], h))
+        stages.append(MapStage(k, _lattice_path(grid.pos[k], h), tuple(map(tuple, blocks)), grid.tableau()))
+    result = grid.tableau()
+    if forward:
+        ends = _end_paths(grid)
+    return result, stages, sum(1 for _ in _pairs(t if forward else result, paths + ends))
 
 
 def inv_code(t: Tableau) -> list[int]:

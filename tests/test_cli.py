@@ -92,3 +92,30 @@ def test_enumerate_check_makes_one_enumeration_pass(capsys, monkeypatch):
     assert main(["enumerate", "--shape", "3,2/1", "--stat", "maj,inv,comaj,cinv", "--check"]) == 0
     assert "check=pass" in capsys.readouterr().out
     assert len(passes) == 1
+
+
+@pytest.mark.parametrize("par", ["0", "-1"])
+def test_enumerate_rejects_par_below_one(par, capsys):
+    assert main(["enumerate", "--shape", "3,2", "--par", par]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--par must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_map_runs_one_cascade(direction, capsys, monkeypatch):
+    from tabinv.inversion import _Grid
+
+    calls = []
+    for name in ("__init__", "psi_step", "phi_step"):
+        method = getattr(_Grid, name)
+
+        def counting(*args, _name=name, _method=method, **kwargs):
+            calls.append(_name)
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(_Grid, name, counting)
+    assert main(["map", "--input", str(FIXTURES / "straight_2x2.txt"), "--direction", direction]) == 0
+    capsys.readouterr()
+    step = "psi_step" if direction == "forward" else "phi_step"
+    assert calls == ["__init__", step, step]

@@ -3,7 +3,10 @@ equidistribution reports."""
 
 import pytest
 
+import tabinv.enumeration as enumeration
+from reference_syt import reference_syt
 from tabinv import (
+    AlgorithmError,
     DistributionPolynomial,
     brute_force_count,
     count_syt,
@@ -15,10 +18,20 @@ from tabinv import (
     parse_shape,
     partitions_of,
     skew_catalog,
+    validate_filling,
 )
-from tabinv.enumeration import STATISTICS
+from tabinv.enumeration import REPORT_VALUES, STATISTICS, statistic_values
+from tabinv.model import Shape
 
 INVOLUTIONS = [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496]
+
+# Every skew shape of the catalog, every straight shape with n <= 8, and
+# shapes with empty leading rows or columns.
+ORACLE_SHAPES = (
+    skew_catalog()
+    + [Shape(lam) for n in range(1, 9) for lam in partitions_of(n)]
+    + [parse_shape(text) for text in ("3,3/3,1", "3,3,3/3", "2,2/2", "4,4,2/4,1", "5,4,3/1")]
+)
 
 
 class TestCounting:
@@ -61,6 +74,35 @@ class TestCounting:
             assert t.shape == s
             seen.add(t.rows)
         assert len(seen) == count_syt(s)
+
+    def test_every_tableau_is_standard_distinct_and_counted(self):
+        for s in ORACLE_SHAPES:
+            seen = set()
+            for t in enumerate_syt(s):
+                assert validate_filling(s, t.rows) == [], (s, t.rows)
+                seen.add(t.rows)
+            assert len(seen) == count_syt(s), s
+
+    def test_order_matches_the_recursive_reference(self):
+        for s in ORACLE_SHAPES:
+            assert [t.rows for t in enumerate_syt(s)] == [t.rows for t in reference_syt(s)], s
+
+    def test_empty_shape_has_one_empty_tableau(self):
+        assert [t.rows for t in enumerate_syt(Shape(()))] == [()]
+
+    def test_placement_guard_rejects_a_cell_below_a_free_cell(self, monkeypatch):
+        # A corner rule that forgets the row above: on 2,2, with 4 in (2,2)
+        # and 3 in (1,2), it offers (1,1) to 2 while (2,1) is still free.
+        def any_free_row(inner, length):
+            return [i for i in range(len(inner) - 1) if inner[i] < length[i]]
+
+        monkeypatch.setattr(enumeration, "_corner_rows", any_free_row)
+        s = parse_shape("2,2")
+        yielded = []
+        with pytest.raises(AlgorithmError):
+            for t in enumerate_syt(s):
+                yielded.append(t)
+        assert all(validate_filling(s, t.rows) == [] for t in yielded)
 
 
 class TestPartitionsAndCatalog:
@@ -115,6 +157,18 @@ class TestDistribution:
     def test_parallel_matches_serial(self):
         s = parse_shape("3,3,2")
         assert distribution(s, "inv", workers=2) == distribution(s, "inv")
+
+    @pytest.mark.parametrize("text", ["4,3,1", "4,3,2/2", "4,4"])
+    def test_parallel_values_equal_serial_in_order(self, text):
+        s = parse_shape(text)
+        names = list(REPORT_VALUES)
+        assert statistic_values(s, names, workers=2) == statistic_values(s, names)
+
+    def test_parallel_values_of_the_empty_shape(self):
+        names = ["maj", "comaj", "inv", "cinv"]
+        serial = statistic_values(Shape(()), names)
+        assert serial == {name: [0] for name in names}
+        assert statistic_values(Shape(()), names, workers=2) == serial
 
 
 class TestEquidistribution:

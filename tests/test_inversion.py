@@ -26,6 +26,7 @@ from tabinv import (
     inversion_path_set,
     maj,
     make_tableau,
+    map_trace,
     ne_inversion_path,
     parse_shape,
     phi,
@@ -39,6 +40,7 @@ from tabinv import (
     validate_filling,
 )
 from tabinv.inversion import _Grid
+from tabinv.enumeration import skew_catalog
 from tabinv.model import Shape, Tableau, TableauError, rotate_complement_into
 
 T22 = tableau_from_rows([[1, 2], [3, 4]])
@@ -170,6 +172,15 @@ class TestInvStatistic:
         for shape_text in ("4,2", "3,2,1", "3,3/1", "4,3,1/2"):
             for t in enumerate_syt(parse_shape(shape_text)):
                 assert inv_statistic(t) == maj(psi(t))
+
+    def test_map_trace_counts_inv_from_its_own_cascade(self):
+        # Inverse, the paths come from phi's reconstruction, so this also
+        # checks that they are the paths psi takes on phi's result.
+        for s in skew_catalog(6, 3, 3):
+            for t in enumerate_syt(s):
+                image, _, inv = map_trace(t)
+                assert (image, inv) == (psi(t), inv_statistic(t))
+                assert map_trace(image, forward=False)[::2] == (t, inv)
 
 
 class TestNeVariant:
@@ -329,6 +340,7 @@ class TestRandomLarge:
             assert phi(image) == t
             assert inv_statistic(t) == maj(image)
             assert cinv_statistic(t) == comaj(comaj_map(t))
+            assert map_trace(image, forward=False)[::2] == (t, maj(image))
 
     def test_q_hook_oracle_for_inv(self):
         shape = (5, 3, 2, 1, 1)
