@@ -1,7 +1,8 @@
 """Command-line interface: statistics, bijection maps, enumeration, the
 classical permutation map, and plain rendering.
 
-Exit codes: 0 success, 1 bad input, 2 verification failure.
+Exit codes: 0 success, 1 bad input, 2 verification failure, 3 internal
+error (an `AlgorithmError`, which signals a bug).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .foata import (
     perm_maj,
     perm_phi_direct,
 )
-from .inversion import inversion_path_set, map_trace
+from .inversion import AlgorithmError, inversion_path_set, map_trace
 from .model import (
     ShapeError,
     TableauError,
@@ -347,6 +348,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except AlgorithmError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -196,8 +196,6 @@ def skew_catalog(max_cells: int = 8, max_rows: int = 4, max_width: int = 4) -> l
             inner_choices = new_choices
         for inner in inner_choices:
             parts = tuple(q for q in inner if q > 0)
-            if len(parts) != len([q for q in inner[: len(parts)]]):
-                continue  # zeros must be trailing
             n = sum(outer) - sum(parts)
             if not 1 <= n <= max_cells:
                 continue
@@ -245,7 +243,7 @@ def distribution(s: Shape, stat: str, workers: int = 1) -> DistributionPolynomia
 # of equidistribution_report.
 PINS: dict[str, Callable[[Tableau], Cell]] = {
     "cell_n": lambda t: t.positions()[t.n],
-    "cell_1": lambda t: t.positions()[1],
+    "cell_1": lambda t: t.positions()[min(t.n, 1)],
 }
 REPORT_VALUES = ("inv", "maj", "cinv", "comaj", "cell_n", "cell_1")
 

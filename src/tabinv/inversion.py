@@ -3,8 +3,8 @@
 The forward map cycles contents inside blocks determined by a monotone
 South-West lattice path; the composite over all pivots sends the inversion
 statistic to the major index.  A North-East variant plays the same role for
-the co-major index; it is the South-West machinery conjugated by
-`rotate_complement`.
+the co-major index; it is the South-West machinery run on a grid turned by
+180 degrees with its contents complemented (`_Grid.turn`).
 
 Every map runs on one mutable `_Grid`: a zero-padded array of contents plus
 the cell of each content.  A path is kept as the height at which it crosses
@@ -24,8 +24,7 @@ from .model import (
     Shape,
     Tableau,
     TableauError,
-    rotate_complement,
-    rotate_complement_into,
+    _rotated_shape,
     validate_filling,
 )
 
@@ -57,47 +56,12 @@ class BlockPartition:
         return [[t.content(c) for c in block] for block in self.blocks]
 
 
-class _SwSides:
-    """Side classification against a (possibly partial) SW path.
-
-    Queries are O(1) after recording the height of the West step crossing
-    each column.  For a partial path, cells strictly SW of the current
-    endpoint are undetermined and classify as None.
-    """
-
-    def __init__(self, start: tuple[int, int], steps: str):
-        self.sx, self.sy = start
-        x, y = start
-        heights: dict[int, int] = {}
-        for st in steps:
-            if st == "W":
-                heights[x] = y
-                x -= 1
-            elif st == "S":
-                y -= 1
-            else:
-                raise AlgorithmError(f"bad SW step {st!r}")
-        self.heights = heights
-        self.end = (x, y)
-
-    def side(self, cell: Cell) -> str | None:
-        i, j = cell
-        if j > self.sx:
-            return BELOW if i <= self.sy + 1 else ABOVE
-        if j in self.heights:
-            return BELOW if self.heights[j] >= i else ABOVE
-        ex, ey = self.end
-        if j <= ex and i <= ey:
-            return None
-        return ABOVE
-
-
 def classify_side(path: LatticePath, cell: Cell) -> str:
-    """BELOW (weakly SE) or ABOVE (weakly NW) for a complete SW path."""
-    side = _SwSides(path.start, path.steps).side(cell)
-    if side is None:
+    """BELOW (weakly SE) or ABOVE (weakly NW) for an SW path to the origin."""
+    i, j = cell
+    if j < 1:
         raise AlgorithmError(f"cell {cell} undetermined against complete path {path}")
-    return side
+    return BELOW if i <= _path_heights(path, j)[j] else ABOVE
 
 
 def _lattice_path(cell: Cell, h: list[int]) -> LatticePath:
@@ -109,6 +73,23 @@ def _lattice_path(cell: Cell, h: list[int]) -> LatticePath:
         y = h[x]
     steps.append("S" * y)
     return LatticePath((j - 1, i - 1), "".join(steps))
+
+
+def _path_heights(path: LatticePath, width: int) -> list[int]:
+    """The inverse of `_lattice_path`: the column heights, for columns up to
+    at least `width`, of an SW path that ends at the origin.  Columns east
+    of the start get the row of the start cell."""
+    x, y = path.start
+    if set(path.steps) - {"S", "W"} or (path.steps.count("W"), path.steps.count("S")) != (x, y):
+        raise AlgorithmError(f"path {path} is not an SW path to the origin")
+    h = [y + 1] * (max(width, x) + 1)
+    for st in path.steps:
+        if st == "W":
+            h[x] = y
+            x -= 1
+        else:
+            y -= 1
+    return h
 
 
 def _blocks(pos: list[Cell], h: list[int], k: int) -> tuple[bool, list[list[Cell]]]:
@@ -131,9 +112,10 @@ class _Grid:
 
     g[i][j] is the content of cell (i, j) and 0 outside the shape, with a
     border of zeros on every side; pos[c] is the cell holding content c.
+    A grid built `turned` starts as the grid of rotate_complement(t).
     """
 
-    def __init__(self, t: Tableau):
+    def __init__(self, t: Tableau, turned: bool = False):
         violations = validate_filling(t.shape, t.rows)
         if violations:
             raise TableauError(violations)
@@ -146,6 +128,8 @@ class _Grid:
                 if v is not None:
                     g[i][j] = v
                     pos[v] = (i, j)
+        if turned:
+            self.turn()
 
     def tableau(self) -> Tableau:
         s = self.shape
@@ -154,6 +138,19 @@ class _Grid:
             for i in range(1, s.n_rows + 1)
         )
         return Tableau(s, tuple(rows))
+
+    def turn(self) -> None:
+        """Rotate the grid 180 degrees inside the bounding box of the shape
+        it was built from and complement its contents (c -> n+1-c), as
+        `model.rotate_complement` does.  The box stays, so turning twice
+        restores the grid and its shape."""
+        g, m = self.g, len(self.pos)
+        g.reverse()  # the zero border rows swap with each other
+        for i, row in enumerate(g):
+            g[i] = [v and m - v for v in reversed(row)]
+        rows, cols = len(g) - 2, self.width
+        self.shape = _rotated_shape(self.shape, rows, cols)
+        self.pos = [(0, 0)] + [(rows + 1 - i, cols + 1 - j) for i, j in reversed(self.pos[1:])]
 
     def heights(self, k: int, absent: int = 0) -> list[int]:
         """Column heights of the SW path from the lower-left corner of the
@@ -309,13 +306,9 @@ def forward_blocks(t: Tableau, k: int, path: LatticePath) -> BlockPartition:
     the current block.
     """
     pos = t.positions()
-    sides = _SwSides(path.start, path.steps)
-    if path.start != (pos[k][1] - 1, pos[k][0] - 1) or sides.end != (0, 0):
-        raise AlgorithmError(f"path {path} does not run from the cell of {k} to the origin")
-    h = [path.start[1] + 1] * (t.shape.width + 1)  # columns east of the start
-    for x, y in sides.heights.items():
-        h[x] = y
-    anchor, blocks = _blocks(pos, h, k)
+    if path.start != (pos[k][1] - 1, pos[k][0] - 1):
+        raise AlgorithmError(f"path {path} does not start at the cell of {k}")
+    anchor, blocks = _blocks(pos, _path_heights(path, t.shape.width), k)
     return BlockPartition(k, BELOW if anchor else ABOVE, tuple(map(tuple, blocks)))
 
 
@@ -327,10 +320,12 @@ class MapStage:
     result: Tableau
 
 
-def _cycled(t: Tableau, step, pivots) -> Tableau:
-    grid = _Grid(t)
+def _cycled(t: Tableau, step, pivots, turned: bool = False) -> Tableau:
+    grid = _Grid(t, turned)
     for k in pivots:
         step(grid, k)
+    if turned:
+        grid.turn()
     return grid.tableau()
 
 
@@ -374,18 +369,20 @@ class InversionPathSet:
     pairs: set[tuple[Cell, Cell]]
 
 
-def _anchored_heights(t: Tableau, absent: int = 0) -> list[tuple[Cell, list[int]]]:
-    """(start cell, column heights) of every path that anchors inversion
-    pairs: the inversion paths of pivots n down to 2, each taken just before
-    its own cycling step of the forward cascade, then the trivial path at
-    the lower-left corner of the exempt cell.
+def _inversions(grid: _Grid, absent: int = 0) -> tuple[list[tuple[Cell, list[int]]], list[tuple[Cell, Cell]]]:
+    """Run the forward cascade on grid and return (start cell, column
+    heights) of every path that anchors inversion pairs, with the pairs they
+    define on the grid's starting contents: the inversion paths of pivots n
+    down to 2, each taken just before its own cycling step, then the trivial
+    path at the lower-left corner of the exempt cell.
 
     Once pivot k has cycled, content k never moves again, so the path start
     cells are distinct and the exempt cell is where 1 ends up.
     """
-    grid = _Grid(t)
-    paths = [(grid.pos[k], grid.psi_step(k, absent)[0]) for k in range(t.n, 2, -1)]
-    return paths + _end_paths(grid, absent)
+    start = [row[:] for row in grid.g], grid.pos[:]
+    paths = [(grid.pos[k], grid.psi_step(k, absent)[0]) for k in range(len(grid.pos) - 1, 2, -1)]
+    paths += _end_paths(grid, absent)
+    return paths, list(_pairs(*start, paths))
 
 
 def _end_paths(grid: _Grid, absent: int = 0) -> list[tuple[Cell, list[int]]]:
@@ -399,23 +396,23 @@ def _end_paths(grid: _Grid, absent: int = 0) -> list[tuple[Cell, list[int]]]:
     return paths
 
 
-def _pairs(t: Tableau, paths: list[tuple[Cell, list[int]]]) -> Iterator[tuple[Cell, Cell]]:
-    """(path cell, smaller cell) for each cell whose content in t is below
-    that of the path's start cell and that lies below the path."""
-    pos = t.positions()
-    for cell, h in paths:
-        for small in pos[1 : t.content(cell)]:
+def _pairs(g: list[list[int]], pos: list[Cell], paths: list[tuple[Cell, list[int]]]) -> Iterator[tuple[Cell, Cell]]:
+    """(path cell, smaller cell) for each cell whose content in the grid
+    contents g (with pos the cell of each content) is below that of the
+    path's start cell and that lies below the path."""
+    for (i, j), h in paths:
+        for small in pos[1 : g[i][j]]:
             if small[0] <= h[small[1]]:
-                yield cell, small
+                yield (i, j), small
 
 
 def inversion_path_set(t: Tableau) -> InversionPathSet:
     """The n-1 inversion paths, recorded along the forward cascade."""
-    paths = _anchored_heights(t)
+    paths, pairs = _inversions(_Grid(t))
     return InversionPathSet(
         {cell: _lattice_path(cell, h) for cell, h in paths[:-1]},
         paths[-1][0],
-        set(_pairs(t, paths)),
+        set(pairs),
     )
 
 
@@ -429,11 +426,11 @@ def inversion_pairs(t: Tableau) -> set[tuple[Cell, Cell]]:
     and therefore anchors nothing; on skew shapes the rule is what makes
     the statistic match the major index of the composite map.
     """
-    return set(_pairs(t, _anchored_heights(t)))
+    return set(_inversions(_Grid(t))[1])
 
 
 def inv_statistic(t: Tableau) -> int:
-    return sum(1 for _ in _pairs(t, _anchored_heights(t)))
+    return len(_inversions(_Grid(t))[1])
 
 
 def map_trace(t: Tableau, forward: bool = True) -> tuple[Tableau, list[MapStage], int]:
@@ -446,6 +443,7 @@ def map_trace(t: Tableau, forward: bool = True) -> tuple[Tableau, list[MapStage]
     of its result; pivot 2 and the exempt cell take theirs at psi's output
     end (the result, or t)."""
     grid = _Grid(t)
+    counted = [row[:] for row in grid.g], grid.pos[:]
     ends = [] if forward else _end_paths(grid)
     pivots = range(t.n, 2, -1) if forward else range(3, t.n + 1)
     stages, paths = [], []
@@ -456,14 +454,16 @@ def map_trace(t: Tableau, forward: bool = True) -> tuple[Tableau, list[MapStage]
     result = grid.tableau()
     if forward:
         ends = _end_paths(grid)
-    return result, stages, sum(1 for _ in _pairs(t if forward else result, paths + ends))
+    else:
+        counted = grid.g, grid.pos
+    return result, stages, sum(1 for _ in _pairs(*counted, paths + ends))
 
 
 def inv_code(t: Tableau) -> list[int]:
     """Per-content inversion counts: entry k-1 is the number of pairs whose
     larger cell holds k.  Sums to the inversion statistic."""
     code = [0] * t.n
-    for big_cell, _ in _pairs(t, _anchored_heights(t)):
+    for big_cell, _ in _inversions(_Grid(t))[1]:
         code[t.content(big_cell) - 1] += 1
     return code
 
@@ -473,7 +473,7 @@ def inv_code(t: Tableau) -> list[int]:
 # Rotating by 180 degrees inside the bounding box and complementing contents
 # turns NE paths into SW paths, the side NW of a path into the side SE of it
 # and "scan down from n" into "scan up from 1", so each NE object is the SW
-# one of rotate_complement(t), rotated back.
+# one of the turned grid (`_Grid.turn`), rotated back.
 
 _ROTATED_STEPS = str.maketrans("WSEN", "ENWS")
 
@@ -495,10 +495,10 @@ def ne_inversion_path(t: Tableau, k: int) -> LatticePath:
     when the content above beats the content to the right (absent cells
     count 0, double absence steps North) and ends, clamped at the bounding
     box border, in the box's upper-right corner.  After complementing,
-    absent cells of the rotated tableau count as n+1.
+    absent cells of the turned grid count as n+1.
     """
     _check_pivot(t, k, "content")
-    grid = _Grid(rotate_complement(t))
+    grid = _Grid(t, turned=True)
     c = t.n + 1 - k
     return _rotate_path(t.shape, _lattice_path(grid.pos[c], grid.heights(c, t.n + 1)))
 
@@ -506,7 +506,7 @@ def ne_inversion_path(t: Tableau, k: int) -> LatticePath:
 def ne_blocks(t: Tableau, k: int, path: LatticePath) -> BlockPartition:
     """Blocks for the NE variant: contents above k scanned downward, anchored
     on the side holding the cell of n."""
-    bp = forward_blocks(rotate_complement(t), t.n + 1 - k, _rotate_path(t.shape, path))
+    bp = forward_blocks(_Grid(t, turned=True).tableau(), t.n + 1 - k, _rotate_path(t.shape, path))
     blocks = tuple(tuple(_rotate_cell(t.shape, c) for c in block) for block in bp.blocks)
     return BlockPartition(k, ABOVE if bp.anchor_side == BELOW else BELOW, blocks)
 
@@ -514,18 +514,16 @@ def ne_blocks(t: Tableau, k: int, path: LatticePath) -> BlockPartition:
 def comaj_map(t: Tableau) -> Tableau:
     """Composite NE-variant map, pivots 1 up to n-2; fixes the cell of 1.
 
-    psi conjugated by rotate_complement, rotated back into t's own shape
-    (rotate_complement trims leading empty rows and columns)."""
-    return rotate_complement_into(psi(rotate_complement(t)), t.shape)
+    psi run on the turned grid, which turns back into t's own shape."""
+    return _cycled(t, _Grid.psi_step, range(t.n, 2, -1), turned=True)
 
 
 def ne_inversion_path_set(t: Tableau) -> InversionPathSet:
-    r = rotate_complement(t)
-    paths = _anchored_heights(r, t.n + 1)
+    paths, pairs = _inversions(_Grid(t, turned=True), t.n + 1)
     return InversionPathSet(
         {_rotate_cell(t.shape, cell): _rotate_path(t.shape, _lattice_path(cell, h)) for cell, h in paths[:-1]},
         _rotate_cell(t.shape, paths[-1][0]),
-        {(_rotate_cell(t.shape, a), _rotate_cell(t.shape, b)) for a, b in _pairs(r, paths)},
+        {(_rotate_cell(t.shape, a), _rotate_cell(t.shape, b)) for a, b in pairs},
     )
 
 
@@ -536,4 +534,4 @@ def cinv_statistic(t: Tableau) -> int:
     Mirroring the SW statistic, the exempt cell anchors pairs through the
     trivial path at its own upper-right corner (every larger content weakly
     north-west of it counts)."""
-    return inv_statistic(rotate_complement(t))
+    return len(_inversions(_Grid(t, turned=True))[1])

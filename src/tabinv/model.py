@@ -111,15 +111,6 @@ def corner_cells(s: Shape) -> set[Cell]:
     }
 
 
-def inner_corner_cells(s: Shape) -> set[Cell]:
-    """Cells with no neighbor below or to the left."""
-    return {
-        (i, j)
-        for (i, j) in s.cells()
-        if (i - 1, j) not in s and (i, j - 1) not in s
-    }
-
-
 def parse_shape(text: str) -> Shape:
     """Parse "4,3,1" or "6,5,4/3,1" into a Shape."""
 
@@ -273,16 +264,20 @@ def rotate_complement(t: Tableau) -> Tableau:
     leading empty rows or columns; on other shapes those rows and columns end
     up trailing and are trimmed, and `rotate_complement_into` restores them.
     """
-    big_r, big_c = t.shape.n_rows, t.shape.width
-    padded_inner = [t.shape.inner_at(i) for i in range(1, big_r + 1)]
-    outer = [big_c - padded_inner[big_r - i] for i in range(1, big_r + 1)]
-    inner = [big_c - t.shape.outer[big_r - i] for i in range(1, big_r + 1)]
+    return rotate_complement_into(t, _rotated_shape(t.shape, t.shape.n_rows, t.shape.width))
+
+
+def _rotated_shape(s: Shape, rows: int, cols: int) -> Shape:
+    """s rotated 180 degrees inside a box of `rows` rows and `cols` columns
+    that contains it, with the empty rows that end up on top trimmed."""
+    outer = [cols - s.inner_at(i) for i in range(rows, 0, -1)]
+    inner = [cols - (s.outer[i - 1] if i <= s.n_rows else 0) for i in range(rows, 0, -1)]
     while outer and outer[-1] == 0:
         outer.pop()
         inner.pop()
     while inner and inner[-1] == 0:
         inner.pop()
-    return rotate_complement_into(t, Shape(tuple(outer), tuple(inner)))
+    return Shape(tuple(outer), tuple(inner))
 
 
 def rotate_complement_into(t: Tableau, shape: Shape) -> Tableau:

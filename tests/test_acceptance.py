@@ -14,6 +14,7 @@ from tabinv import (
     brute_force_count,
     bridge_check,
     cinv_statistic,
+    classify_side,
     comaj,
     conjugate,
     count_syt,
@@ -41,7 +42,7 @@ from tabinv import (
     psi_k,
     skew_catalog,
 )
-from tabinv.inversion import BELOW, _SwSides
+from tabinv.inversion import BELOW
 from tabinv.model import Shape, Tableau
 
 
@@ -129,7 +130,7 @@ def test_criterion_05_descent_lemma():
             for t in enumerate_syt(s):
                 for k in range(3, n + 1):
                     p = inversion_path(t, k)
-                    below = _SwSides(p.start, p.steps).side((1, 1)) == BELOW
+                    below = classify_side(p, (1, 1)) == BELOW
                     assert below == ((k - 1) in descent_set(psi_k(t, k)))
 
 
@@ -139,7 +140,7 @@ def test_criterion_06_block_geometry_recurrence_conjugation():
             for t in enumerate_syt(s):
                 for k in range(3, n + 1):
                     p = inversion_path(t, k)
-                    below = _SwSides(p.start, p.steps).side((1, 1)) == BELOW
+                    below = classify_side(p, (1, 1)) == BELOW
                     for block in forward_blocks(t, k, p).blocks:
                         i0, j0 = block[0]
                         for (i, j) in block[1:]:
@@ -148,7 +149,7 @@ def test_criterion_06_block_geometry_recurrence_conjugation():
                             else:
                                 assert i < i0 and j > j0
                 p = inversion_path(t, n)
-                delta = (n - 1) if _SwSides(p.start, p.steps).side((1, 1)) == BELOW else 0
+                delta = (n - 1) if classify_side(p, (1, 1)) == BELOW else 0
                 assert inv_statistic(t) == inv_statistic(delete_top(psi_k(t, n))) + delta
     for n in range(1, 11):
         for s in straight_shapes(n):

@@ -119,3 +119,22 @@ def test_map_runs_one_cascade(direction, capsys, monkeypatch):
     capsys.readouterr()
     step = "psi_step" if direction == "forward" else "phi_step"
     assert calls == ["__init__", step, step]
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    from tabinv.inversion import _Grid
+
+    rotate = _Grid.rotate
+
+    def bad_rotate(self, blocks, touched):
+        rotate(self, blocks, touched)
+        if touched:
+            (i, j), _ = touched[0]
+            self.g[i][j] += 1
+
+    monkeypatch.setattr(_Grid, "rotate", bad_rotate)
+    assert main(["map", "--input", str(FIXTURES / "straight_2x2.txt")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: psi_")
+    assert len(captured.err.splitlines()) == 1

@@ -129,6 +129,12 @@ class TestPartitionsAndCatalog:
     def test_catalog_is_deterministic(self):
         assert skew_catalog() == skew_catalog()
 
+    def test_catalog_size_and_ends(self):
+        shapes = skew_catalog()
+        assert len(shapes) == 486
+        assert [format_shape(s) for s in shapes[:3]] == ["1", "1,1", "2"]
+        assert format_shape(shapes[-1]) == "4,4,4,4/3,3,2"
+
 
 class TestDistribution:
     def test_polynomial_from_values(self):
@@ -169,6 +175,10 @@ class TestDistribution:
         serial = statistic_values(Shape(()), names)
         assert serial == {name: [0] for name in names}
         assert statistic_values(Shape(()), names, workers=2) == serial
+
+    def test_pins_and_report_of_the_empty_shape(self):
+        assert statistic_values(Shape(()), ["cell_n", "cell_1"]) == {"cell_n": [(0, 0)], "cell_1": [(0, 0)]}
+        assert equidistribution_report(Shape(())).ok
 
 
 class TestEquidistribution:

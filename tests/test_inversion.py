@@ -27,7 +27,9 @@ from tabinv import (
     maj,
     make_tableau,
     map_trace,
+    ne_blocks,
     ne_inversion_path,
+    ne_inversion_path_set,
     parse_shape,
     phi,
     phi_k,
@@ -39,6 +41,8 @@ from tabinv import (
     tableau_from_rows,
     validate_filling,
 )
+import tabinv.inversion as inversion
+import tabinv.model as model
 from tabinv.inversion import _Grid
 from tabinv.enumeration import skew_catalog
 from tabinv.model import Shape, Tableau, TableauError, rotate_complement_into
@@ -87,6 +91,23 @@ class TestSideClassification:
         assert classify_side(p, (1, 1)) == BELOW
         assert classify_side(p, (2, 1)) == BELOW
         assert classify_side(p, (3, 1)) == ABOVE
+
+    @pytest.mark.parametrize(
+        "path,cell",
+        [
+            (LatticePath((2, 2), "W"), (1, 1)),  # stops short of the origin
+            (LatticePath((1, 1), "WSS"), (1, 1)),  # runs past it
+            (LatticePath((1, 1), "NE"), (1, 1)),  # not an SW path
+            (LatticePath((1, 1), "WS"), (1, 0)),  # west of column 1
+        ],
+    )
+    def test_undetermined_cells_raise(self, path, cell):
+        with pytest.raises(AlgorithmError):
+            classify_side(path, cell)
+
+    def test_forward_blocks_rejects_a_path_from_another_cell(self):
+        with pytest.raises(AlgorithmError):
+            forward_blocks(T22, 4, inversion_path(T22, 3))
 
 
 class TestBlocksAndPsi:
@@ -211,6 +232,80 @@ class TestNeVariant:
 UNNORMALIZED = ("2,2/2", "3,3/1,1", "3,3,3/3", "3,3,1/1,1,1")
 
 
+def _ne_tableaux(*catalog_bounds):
+    for s in skew_catalog(*catalog_bounds) + [parse_shape(text) for text in UNNORMALIZED]:
+        yield from enumerate_syt(s)
+
+
+def _rotated_sw_path(t, path):
+    """An NE path of t as an SW path of rotate_complement(t), or back."""
+    x, y = path.start
+    return LatticePath((t.shape.width - x, t.shape.n_rows - y), path.steps.translate(str.maketrans("WSEN", "ENWS")))
+
+
+class TestNeFunctions:
+    """The NE functions against their SW counterparts on rotate_complement."""
+
+    def test_path_set_covers_all_but_one_cell_and_counts_cinv(self):
+        for t in _ne_tableaux():
+            ips = ne_inversion_path_set(t)
+            assert len(ips.paths) == t.n - 1 and ips.exempt not in ips.paths
+            assert len(ips.pairs) == cinv_statistic(t)
+
+    def test_path_set_follows_the_cascade(self):
+        # The path of pivot k is taken on the NE cascade's tableau just
+        # before its step k, here rebuilt from psi_k on rotate_complement.
+        for t in _ne_tableaux(5):
+            ips = ne_inversion_path_set(t)
+            u = t
+            for k in range(1, t.n):
+                assert ips.paths[u.positions()[k]] == ne_inversion_path(u, k)
+                if k <= t.n - 2:
+                    u = rotate_complement_into(psi_k(rotate_complement(u), t.n + 1 - k), t.shape)
+            assert u == comaj_map(t)
+            assert ips.exempt == u.positions()[t.n]
+
+    def test_ne_blocks_match_rotate_complement_reference(self):
+        for t in _ne_tableaux(5):
+            r = rotate_complement(t)
+            rotate = lambda c: (t.shape.n_rows + 1 - c[0], t.shape.width + 1 - c[1])
+            for k in range(1, t.n + 1):
+                path = ne_inversion_path(t, k)
+                ref = forward_blocks(r, t.n + 1 - k, _rotated_sw_path(t, path))
+                bp = ne_blocks(t, k, path)
+                assert bp.k == k
+                assert bp.anchor_side == (ABOVE if ref.anchor_side == BELOW else BELOW)
+                assert bp.blocks == tuple(tuple(map(rotate, block)) for block in ref.blocks)
+
+    def test_turned_grid_is_rotate_complement(self):
+        for text in UNNORMALIZED + ("3,2", "4,3,1/2", "3,2/3"):
+            for t in enumerate_syt(parse_shape(text)):
+                grid = _Grid(t, turned=True)
+                assert grid.tableau() == rotate_complement(t)
+                assert grid.pos == rotate_complement(t).positions()
+                grid.turn()
+                assert grid.tableau() == t
+                assert grid.pos == t.positions()
+
+    @pytest.mark.parametrize(
+        "fn", [cinv_statistic, comaj_map, ne_inversion_path_set, lambda t: ne_inversion_path(t, 2)]
+    )
+    def test_input_is_validated_once(self, fn, monkeypatch):
+        calls = []
+        validate = model.validate_filling
+
+        def counting(*args):
+            calls.append(args)
+            return validate(*args)
+
+        monkeypatch.setattr(model, "validate_filling", counting)
+        monkeypatch.setattr(inversion, "validate_filling", counting)
+        for t in (SKEW1, make_tableau(parse_shape("3,3/1,1"), [[None, 1, 3], [None, 2, 4]])):
+            calls.clear()
+            fn(t)
+            assert len(calls) == 1
+
+
 class TestUnnormalizedShapes:
     """Shapes with an empty first row or column, which rotate_complement
     trims; the NE map must still land in the shape it started from."""
@@ -303,10 +398,9 @@ class TestStepCheck:
                 self.g[i][j] = self.g[i][j] + 1 if fault == "off_by_one" else self.g[i2][j2]
 
         monkeypatch.setattr(_Grid, "rotate", bad_rotate)
-        with pytest.raises(AlgorithmError):
-            psi(t)
-        with pytest.raises(AlgorithmError):
-            phi(image)
+        for fn, arg in ((psi, t), (phi, image), (comaj_map, t), (cinv_statistic, t)):
+            with pytest.raises(AlgorithmError):
+                fn(arg)
 
     @pytest.mark.parametrize(
         "shape,rows",
