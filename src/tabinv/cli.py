@@ -1,8 +1,10 @@
 """Command-line interface: statistics, bijection maps, enumeration, the
 classical permutation map, and plain rendering.
 
-Exit codes: 0 success, 1 bad input, 2 verification failure, 3 internal
-error (an `AlgorithmError`, which signals a bug).
+Exit codes, mapped in `main` alone: 0 success or `--help`, 1 bad input (a
+usage error included), 2 verification failure, 3 internal error (an
+`AlgorithmError`, which signals a bug). Each verifying command builds one
+record, the dict `--format json` prints, and renders its text from it.
 """
 
 from __future__ import annotations
@@ -26,13 +28,11 @@ from .foata import (
     format_permutation,
     parse_permutation,
     perm_inv,
+    perm_inverse,
     perm_maj,
-    perm_phi_direct,
 )
 from .inversion import AlgorithmError, inversion_path_set, map_trace
 from .model import (
-    ShapeError,
-    TableauError,
     format_shape,
     parse_shape,
     parse_tableau_text,
@@ -62,6 +62,15 @@ def _fmt_list(values) -> str:
     return "[" + ",".join(str(v) for v in values) + "]"
 
 
+def _verdict(ok: bool) -> str:
+    return "pass" if ok else "FAIL"
+
+
+def _emit(args, record: dict, lines: list[str]) -> None:
+    """Print the record as JSON, or else the text lines rendered from it."""
+    print(json.dumps(record, indent=2) if args.format == "json" else "\n".join(lines))
+
+
 def _path_json(path, content=None) -> dict:
     d = {"start": list(path.start), "steps": path.steps}
     if content is not None:
@@ -71,7 +80,6 @@ def _path_json(path, content=None) -> dict:
 
 def cmd_stats(args) -> int:
     t = _load_tableau(args.input)
-    des = sorted(descent_set(t))
     ips = inversion_path_set(t)
     pairs = sorted((t.content(big), t.content(small)) for big, small in ips.pairs)
     code = [0] * t.n
@@ -79,7 +87,7 @@ def cmd_stats(args) -> int:
         code[big - 1] += 1
     stats = {
         "n": t.n,
-        "descents": des,
+        "descents": sorted(descent_set(t)),
         "maj": maj(t),
         "comaj": comaj(t),
         "inv": len(pairs),
@@ -98,12 +106,8 @@ def cmd_stats(args) -> int:
         print(json.dumps(out, indent=2))
         return 0
     print(f"shape={format_shape(t.shape)}")
-    print(f"n={stats['n']}")
-    print(f"descents={_fmt_list(des)}")
-    print(f"maj={stats['maj']}")
-    print(f"comaj={stats['comaj']}")
-    print(f"inv={stats['inv']}")
-    print(f"code={_fmt_list(stats['code'])}")
+    for key, value in stats.items():
+        print(f"{key}={_fmt_list(value) if isinstance(value, list) else value}")
     if args.paths:
         for c, cell, p in path_rows:
             print(
@@ -175,109 +179,75 @@ def cmd_enumerate(args) -> int:
     for s in stats:
         if s not in STATISTICS:
             raise ValueError(f"unknown statistic {s!r}; choose from {sorted(STATISTICS)}")
-    count = count_syt(shape)
     names = list(dict.fromkeys(stats + (list(REPORT_VALUES) if args.check else [])))
     values = statistic_values(shape, names, workers=args.par)
     polys = {s: DistributionPolynomial.from_values(values[s]) for s in stats}
-    report = equidistribution_report(shape, values) if args.check else None
-    if args.format == "json":
-        out = {
-            "shape": format_shape(shape),
-            "count": count,
-            "distributions": [
+    out = {
+        "shape": format_shape(shape),
+        "count": count_syt(shape),
+        "distributions": [
+            {
+                "shape": format_shape(shape),
+                "stat": s,
+                "coefficients": list(polys[s].coefficients),
+                "count": polys[s].total,
+            }
+            for s in stats
+        ],
+    }
+    lines = [f"shape={out['shape']} count={out['count']}"]
+    lines += [
+        f"shape={d['shape']} stat={d['stat']} poly={_fmt_list(d['coefficients'])}"
+        for d in out["distributions"]
+    ]
+    if args.check:
+        report = equidistribution_report(shape, values)
+        out["check"] = {
+            "ok": report.ok,
+            "classes": [
                 {
-                    "shape": format_shape(shape),
-                    "stat": s,
-                    "coefficients": list(polys[s].coefficients),
-                    "count": polys[s].total,
+                    "stats": f"{c.stat_a}~{c.stat_b}",
+                    "cell": list(c.pinned_cell) if c.pinned_cell else None,
+                    "poly_a": list(c.poly_a.coefficients),
+                    "poly_b": list(c.poly_b.coefficients),
+                    "ok": c.ok,
                 }
-                for s in stats
+                for c in report.classes
             ],
         }
-        if report is not None:
-            out["check"] = {
-                "ok": report.ok,
-                "classes": [
-                    {
-                        "stats": f"{c.stat_a}~{c.stat_b}",
-                        "cell": list(c.pinned_cell) if c.pinned_cell else None,
-                        "poly_a": list(c.poly_a.coefficients),
-                        "poly_b": list(c.poly_b.coefficients),
-                        "ok": c.ok,
-                    }
-                    for c in report.classes
-                ],
-            }
-        print(json.dumps(out, indent=2))
-    else:
-        print(f"shape={format_shape(shape)} count={count}")
-        for s in stats:
-            print(f"shape={format_shape(shape)} stat={s} poly={_fmt_list(polys[s].coefficients)}")
-        if report is not None:
-            for c in report.classes:
-                where = _fmt_cell(c.pinned_cell) if c.pinned_cell else "global"
-                verdict = "pass" if c.ok else "FAIL"
-                print(
-                    f"check {c.stat_a}~{c.stat_b} cell={where} "
-                    f"poly={_fmt_list(c.poly_a.coefficients)} vs "
-                    f"{_fmt_list(c.poly_b.coefficients)} {verdict}"
-                )
-            print(f"check={'pass' if report.ok else 'FAIL'}")
-    if report is not None and not report.ok:
-        return 2
-    return 0
+        lines += [
+            f"check {c['stats']} cell={_fmt_cell(c['cell']) if c['cell'] else 'global'} "
+            f"poly={_fmt_list(c['poly_a'])} vs {_fmt_list(c['poly_b'])} {_verdict(c['ok'])}"
+            for c in out["check"]["classes"]
+        ]
+        lines.append(f"check={_verdict(out['check']['ok'])}")
+    _emit(args, out, lines)
+    return 2 if args.check and not report.ok else 0
 
 
 def cmd_foata(args) -> int:
     p = parse_permutation(args.perm)
     if args.bridge:
         report = bridge_check(p)
-        direct = perm_phi_direct(p)
-        ok = report.ok
-        if args.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "perm": format_permutation(p),
-                        "phi_direct": format_permutation(direct),
-                        "tableau_route": format_permutation(report.tableau_route),
-                        "direct_route": format_permutation(report.direct_route),
-                        "foata_route": format_permutation(report.foata_route),
-                        "ok": ok,
-                    },
-                    indent=2,
-                )
-            )
-        else:
-            print(f"perm={format_permutation(p)}")
-            print(f"phi_direct={format_permutation(direct)}")
-            print(f"tableau_route={format_permutation(report.tableau_route)}")
-            print(f"direct_route={format_permutation(report.direct_route)}")
-            print(f"foata_route={format_permutation(report.foata_route)}")
-            print(f"bridge={'pass' if ok else 'FAIL'}")
-        return 0 if ok else 2
+        routes = {
+            "perm": p,
+            "phi_direct": perm_inverse(report.direct_route),
+            "tableau_route": report.tableau_route,
+            "direct_route": report.direct_route,
+            "foata_route": report.foata_route,
+        }
+        out = {key: format_permutation(q) for key, q in routes.items()}
+        lines = [f"{key}={text}" for key, text in out.items()]
+        lines.append(f"bridge={_verdict(report.ok)}")
+        out["ok"] = report.ok
+        _emit(args, out, lines)
+        return 0 if report.ok else 2
     out_perm = foata_inverse(p) if args.inverse else foata(p)
-    rows = [
-        ("input", p),
-        ("output", out_perm),
-    ]
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    label: {
-                        "perm": format_permutation(q),
-                        "inv": perm_inv(q),
-                        "maj": perm_maj(q),
-                    }
-                    for label, q in rows
-                },
-                indent=2,
-            )
-        )
-    else:
-        for label, q in rows:
-            print(f"{label}={format_permutation(q)} inv={perm_inv(q)} maj={perm_maj(q)}")
+    out = {
+        label: {"perm": format_permutation(q), "inv": perm_inv(q), "maj": perm_maj(q)}
+        for label, q in (("input", p), ("output", out_perm))
+    }
+    _emit(args, out, [f"{label}={d['perm']} inv={d['inv']} maj={d['maj']}" for label, d in out.items()])
     return 0
 
 
@@ -338,14 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ShapeError, TableauError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except SystemExit as e:
+        # argparse exits 0 after --help and 2 on a usage error; a usage
+        # error is bad input, and 2 means a failed verification.
+        return 0 if e.code == 0 else 1
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except AlgorithmError as e:

@@ -180,32 +180,14 @@ def skew_catalog(max_cells: int = 8, max_rows: int = 4, max_width: int = 4) -> l
     """All skew shapes outer/inner with at most max_cells cells, at most
     max_rows rows and first part at most max_width, deduplicated by
     translation."""
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    shapes: list[Shape] = []
-    outers: list[tuple[int, ...]] = []
+    shapes: set[Shape] = set()
     for total in range(1, max_rows * max_width + 1):
-        outers.extend(partitions_of(total, max_rows=max_rows, max_part=max_width))
-    for outer in outers:
-        inner_choices = [[]]
-        for i, part in enumerate(outer):
-            new_choices = []
-            for prefix in inner_choices:
-                upper = min(part, prefix[-1] if prefix else part)
-                for q in range(0, upper + 1):
-                    new_choices.append(prefix + [q])
-            inner_choices = new_choices
-        for inner in inner_choices:
-            parts = tuple(q for q in inner if q > 0)
-            n = sum(outer) - sum(parts)
-            if not 1 <= n <= max_cells:
-                continue
-            norm = normalize_shape(Shape(outer, parts))
-            key = (norm.outer, norm.inner)
-            if key not in seen:
-                seen.add(key)
-                shapes.append(norm)
-    shapes.sort(key=lambda s: (s.size, s.outer, s.inner))
-    return shapes
+        for outer in partitions_of(total, max_rows=max_rows, max_part=max_width):
+            for size in range(max(0, total - max_cells), total):
+                for inner in partitions_of(size, max_rows=len(outer), max_part=outer[0]):
+                    if all(q <= p for q, p in zip(inner, outer)):
+                        shapes.add(normalize_shape(Shape(outer, inner)))
+    return sorted(shapes, key=lambda s: (s.size, s.outer, s.inner))
 
 
 @dataclass(frozen=True)

@@ -292,6 +292,10 @@ def inversion_path(t: Tableau, k: int) -> LatticePath:
     At each interior corner the path steps toward the larger of the two
     neighbor contents below and to the left; absent cells count as 0 and a
     double absence steps South.  The path ends at the origin.
+
+    This is the path on t itself.  The path that `inversion_path_set(t)`
+    records for the cell holding k is taken later in the cascade, so the two
+    agree for k = n but not in general.
     """
     _check_pivot(t, k, "content")
     grid = _Grid(t)
@@ -305,6 +309,7 @@ def forward_blocks(t: Tableau, k: int, path: LatticePath) -> BlockPartition:
     side of the cell holding 1) opens a block, one on the other side extends
     the current block.
     """
+    _check_pivot(t, k)
     pos = t.positions()
     if path.start != (pos[k][1] - 1, pos[k][0] - 1):
         raise AlgorithmError(f"path {path} does not start at the cell of {k}")
@@ -362,7 +367,12 @@ def phi_trace(s: Tableau) -> tuple[Tableau, list[MapStage]]:
 @dataclass
 class InversionPathSet:
     """One path per cell, except one exempt cell, and the ordered pairs
-    (path cell, counted cell) of the statistic they define."""
+    (path cell, counted cell) of the statistic they define.
+
+    A cell's path is the path of the pivot that stands there, taken on the
+    cascade's tableau just before that pivot's step.  Labelled with the
+    content c the cell holds in the input (as `stats --paths` does), it
+    equals `inversion_path(t, c)` for c = n but not in general."""
 
     paths: dict[Cell, LatticePath]
     exempt: Cell
@@ -407,7 +417,9 @@ def _pairs(g: list[list[int]], pos: list[Cell], paths: list[tuple[Cell, list[int
 
 
 def inversion_path_set(t: Tableau) -> InversionPathSet:
-    """The n-1 inversion paths, recorded along the forward cascade."""
+    """The n-1 inversion paths, recorded along the forward cascade: each on
+    the cascade's tableau just before its pivot's step (see
+    `InversionPathSet`), not on t."""
     paths, pairs = _inversions(_Grid(t))
     return InversionPathSet(
         {cell: _lattice_path(cell, h) for cell, h in paths[:-1]},
@@ -506,6 +518,7 @@ def ne_inversion_path(t: Tableau, k: int) -> LatticePath:
 def ne_blocks(t: Tableau, k: int, path: LatticePath) -> BlockPartition:
     """Blocks for the NE variant: contents above k scanned downward, anchored
     on the side holding the cell of n."""
+    _check_pivot(t, k)
     bp = forward_blocks(_Grid(t, turned=True).tableau(), t.n + 1 - k, _rotate_path(t.shape, path))
     blocks = tuple(tuple(_rotate_cell(t.shape, c) for c in block) for block in bp.blocks)
     return BlockPartition(k, ABOVE if bp.anchor_side == BELOW else BELOW, blocks)

@@ -195,32 +195,30 @@ def validate_filling(shape: Shape, rows: list[list[int | None]]) -> list[str]:
     """All standardness violations of a raw filling; empty list means valid."""
     violations: list[str] = []
     n = shape.size
+    cells = shape.cells()
+    # The shape's entries in a grid bordered by one row and column, None
+    # where there is no entry, so right and upper neighbours read by index.
+    g: list[list[int | None]] = [[None] * (shape.width + 2) for _ in range(shape.n_rows + 2)]
+    for (i, j) in cells:
+        if i <= len(rows) and j <= len(rows[i - 1]):
+            g[i][j] = rows[i - 1][j - 1]
     seen: dict[int, Cell] = {}
-    for (i, j) in shape.cells():
-        if i > len(rows) or j > len(rows[i - 1]) or rows[i - 1][j - 1] is None:
+    for (i, j) in cells:
+        v = g[i][j]
+        if v is None:
             violations.append(f"missing entry at cell ({i},{j})")
-            continue
-        v = rows[i - 1][j - 1]
-        if not isinstance(v, int) or not 1 <= v <= n:
+        elif not isinstance(v, int) or not 1 <= v <= n:
             violations.append(f"content {v} at cell ({i},{j}) outside 1..{n}")
         elif v in seen:
             violations.append(f"duplicate content {v} at cells {seen[v]} and ({i},{j})")
         else:
             seen[v] = (i, j)
-
-    def entry(i: int, j: int) -> int | None:
-        if (i, j) not in shape or i > len(rows) or j > len(rows[i - 1]):
-            return None
-        return rows[i - 1][j - 1]
-
-    for (i, j) in shape.cells():
-        v = entry(i, j)
+    for (i, j) in cells:
+        v, right, above = g[i][j], g[i][j + 1], g[i + 1][j]
         if v is None:
             continue
-        right = entry(i, j + 1)
         if right is not None and v >= right:
             violations.append(f"row not increasing: cell ({i},{j})={v} vs ({i},{j + 1})={right}")
-        above = entry(i + 1, j)
         if above is not None and v >= above:
             violations.append(f"column not increasing: cell ({i},{j})={v} vs ({i + 1},{j})={above}")
     return violations

@@ -1,6 +1,7 @@
 """Command-line interface behavior and byte-stable golden outputs."""
 
 import json
+import re
 
 import pytest
 
@@ -138,3 +139,121 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("internal error: psi_")
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate"],
+        ["enumerate", "--shape", "3,2", "--par", "abc"],
+        ["bogus"],
+        ["map", "--input", str(FIXTURES / "straight_2x2.txt"), "--direction", "sideways"],
+    ],
+    ids=["missing-shape", "par-abc", "unknown-subcommand", "direction-sideways"],
+)
+def test_usage_error_is_a_user_error(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["enumerate", "--help"]])
+def test_help_exits_0(argv, capsys):
+    assert main(argv) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def _run(argv, capsys):
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+def _cell(text):
+    return None if text == "global" else [int(v) for v in text.strip("()").split(",")]
+
+
+def _enumerate_record(text):
+    """The record that `enumerate` text lines describe, read back."""
+    head, *lines = text.splitlines()
+    shape, count = re.fullmatch(r"shape=(\S+) count=(\d+)", head).groups()
+    record = {"shape": shape, "count": int(count), "distributions": []}
+    classes = []
+    for line in lines:
+        if m := re.fullmatch(r"shape=(\S+) stat=(\S+) poly=(\S+)", line):
+            shape, stat, poly = m.groups()
+            record["distributions"].append({"shape": shape, "stat": stat, "coefficients": json.loads(poly)})
+        elif m := re.fullmatch(r"check (\S+) cell=(\S+) poly=(\S+) vs (\S+) (pass|FAIL)", line):
+            stats, cell, poly_a, poly_b, verdict = m.groups()
+            classes.append(
+                {
+                    "stats": stats,
+                    "cell": _cell(cell),
+                    "poly_a": json.loads(poly_a),
+                    "poly_b": json.loads(poly_b),
+                    "ok": verdict == "pass",
+                }
+            )
+        else:
+            verdict = re.fullmatch(r"check=(pass|FAIL)", line).group(1)
+            record["check"] = {"ok": verdict == "pass", "classes": classes}
+    return record
+
+
+@pytest.mark.parametrize("shape", ["2,2/1", "4,3,1/2"])
+def test_enumerate_text_and_json_agree(shape, capsys):
+    argv = ["enumerate", "--shape", shape, "--stat", "maj,inv,comaj,cinv", "--check"]
+    code, text = _run(argv, capsys)
+    json_code, out = _run(argv + ["--format", "json"], capsys)
+    record = json.loads(out)
+    assert code == json_code == 0
+    for d in record["distributions"]:
+        assert d.pop("count") == record["count"]
+    assert _enumerate_record(text) == record
+    assert record["check"]["classes"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--inverse"], ["--bridge"]])
+def test_foata_text_and_json_agree(flags, capsys):
+    argv = ["foata", "--perm", "4137562"] + flags
+    code, text = _run(argv, capsys)
+    json_code, out = _run(argv + ["--format", "json"], capsys)
+    assert code == json_code == 0
+    fields = [dict(f.split("=") for f in line.split()) for line in text.splitlines()]
+    if flags == ["--bridge"]:
+        record = {k: v for d in fields for k, v in d.items()}
+        record["ok"] = record.pop("bridge") == "pass"
+    else:
+        record = {}
+        for d in fields:
+            label, perm = next(iter(d.items()))
+            record[label] = {"perm": perm, "inv": int(d["inv"]), "maj": int(d["maj"])}
+    assert record == json.loads(out)
+
+
+def test_failed_verification_exits_2(capsys, monkeypatch):
+    import tabinv.cli as cli
+    from tabinv.foata import BridgeReport, bridge_check
+
+    statistic_values = cli.statistic_values
+
+    def skewed_values(*args, **kwargs):
+        values = statistic_values(*args, **kwargs)
+        values["inv"][0] += 1
+        return values
+
+    def broken_bridge(p):
+        report = bridge_check(p)
+        return BridgeReport(report.perm, report.tableau_route, report.direct_route, report.direct_route[::-1])
+
+    monkeypatch.setattr(cli, "statistic_values", skewed_values)
+    monkeypatch.setattr(cli, "bridge_check", broken_bridge)
+    for argv, verdict in (
+        (["enumerate", "--shape", "3,2", "--check"], "check=FAIL"),
+        (["foata", "--perm", "346251", "--bridge"], "bridge=FAIL"),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().out.splitlines()[-1] == verdict
+        assert main(argv + ["--format", "json"]) == 2
+        record = json.loads(capsys.readouterr().out)
+        assert record.get("check", record)["ok"] is False

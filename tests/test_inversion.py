@@ -123,6 +123,19 @@ class TestBlocksAndPsi:
         assert bp.content_blocks(T22B) == [[1], [2, 3]]
         assert bp.anchor_side == ABOVE
 
+    @pytest.mark.parametrize(
+        "blocks,k,path",
+        [
+            (forward_blocks, 0, inversion_path(T22, 4)),
+            (forward_blocks, 5, inversion_path(T22, 4)),
+            (ne_blocks, 0, ne_inversion_path(T22, 1)),
+            (ne_blocks, 5, ne_inversion_path(T22, 1)),
+        ],
+    )
+    def test_blocks_reject_a_pivot_outside_1_to_n(self, blocks, k, path):
+        with pytest.raises(ValueError, match=f"pivot {k} outside 1..4"):
+            blocks(T22, k, path)
+
     def test_psi_k_cycles_blocks(self):
         assert psi_k(T22B, 4) == T22
         assert psi_k(T22, 4) == T22B
@@ -176,6 +189,20 @@ class TestInvStatistic:
         ips = inversion_path_set(T22)
         assert set(ips.paths) == {(1, 2), (2, 1), (2, 2)}
         assert ips.exempt == (1, 1)
+
+    def test_path_set_follows_the_cascade(self):
+        # The path of pivot k is taken on the cascade's tableau just before
+        # its step k, here rebuilt with psi_k; it is keyed by the cell k
+        # stands in there, which may hold another content in t.
+        for t in _ne_tableaux(5):
+            ips = inversion_path_set(t)
+            u = t
+            for k in range(t.n, 1, -1):
+                assert ips.paths[u.positions()[k]] == inversion_path(u, k)
+                if k >= 3:
+                    u = psi_k(u, k)
+            assert u == psi(t)
+            assert ips.exempt == u.positions()[1]
 
     def test_code_sums_to_statistic(self):
         for t in enumerate_syt(parse_shape("3,2")):
