@@ -9,15 +9,19 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from .inversion import AlgorithmError, cinv_statistic, inv_statistic
+from .inversion import AlgorithmError, _Grid, _inversions
 from .model import Cell, Shape, Tableau, corner_cells, validate_filling
-from .stats import comaj, maj
+from .stats import comaj_of, maj_of
 
-STATISTICS: dict[str, Callable[[Tableau], int]] = {
-    "maj": maj,
-    "comaj": comaj,
-    "inv": inv_statistic,
-    "cinv": cinv_statistic,
+# Each statistic of an SYT of shape s from pos, where pos[c] is the cell of
+# content c: the values of stats.maj, stats.comaj, inversion.inv_statistic
+# and inversion.cinv_statistic.  The filling is not validated again, so pos
+# must come from `_fillings`, whose placement guard proved it standard.
+STATISTICS: dict[str, Callable[[Shape, list[Cell]], int]] = {
+    "maj": lambda s, pos: maj_of(pos),
+    "comaj": lambda s, pos: comaj_of(pos),
+    "inv": lambda s, pos: len(_inversions(_Grid.of_positions(s, pos))[1]),
+    "cinv": lambda s, pos: len(_inversions(_Grid.of_positions(s, pos, turned=True))[1]),
 }
 
 
@@ -58,9 +62,14 @@ def _corner_rows(inner: list[int], length: list[int]) -> list[int]:
     return [i for i in range(len(inner) - 1) if inner[i] < length[i] > length[i + 1]]
 
 
-def _fillings(s: Shape, prefix: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int | None, ...], ...]]:
-    """The rows of every SYT of s, as enumerate_syt orders them, whose
-    largest contents sit where `prefix` puts them.
+def _fillings(s: Shape, prefix: tuple[int, ...] = ()) -> Iterator[tuple[list[list[int | None]], list[Cell]]]:
+    """Every SYT of s, as enumerate_syt orders them, whose largest contents
+    sit where `prefix` puts them, as (rows, pos): the rows bottom-up with
+    None on inner cells, and pos[c] the cell of content c (index 0 unused,
+    as `Tableau.positions` returns it).
+
+    Both lists are the generator's live state, valid only until the next
+    item is requested: a caller that keeps a filling copies it.
 
     Contents n, n-1, ..., 1 go one at a time into the rightmost free cell of
     a row; at each content the candidate rows are those of `_corner_rows`,
@@ -71,22 +80,25 @@ def _fillings(s: Shape, prefix: tuple[int, ...] = ()) -> Iterator[tuple[tuple[in
     upper neighbours must be outside the shape or already filled, that is
     hold larger contents.  Every cell is filled once and every pair of
     adjacent cells is checked when its smaller cell is filled, so on each
-    yielded filling this is a full standardness check.  A failure raises
-    AlgorithmError.
+    yielded filling this is a full standardness check, and the statistics
+    read `pos` without validating again.  A failure raises AlgorithmError.
     """
     n = s.size
     inner, length = _free_region(s)
-    # Free cells hold 0 and inner cells None; the empty row on top is the
-    # upper neighbour of the top row.
-    rows = [[None] * q + [0] * (p - q) for p, q in zip(s.outer, inner)] + [[]]
+    # Free cells hold 0 and inner cells None; above[i] is the row over row
+    # i, an empty one over the top row.
+    rows = [[None] * q + [0] * (p - q) for p, q in zip(s.outer, inner)]
+    above = rows[1:] + [[]]
+    pos: list[Cell] = [(0, 0)] * (n + 1)
     placed: list[int] = []
 
     def place(i: int) -> None:
-        row, up, j = rows[i], rows[i + 1], length[i] - 1
+        row, up, j = rows[i], above[i], length[i] - 1
         k = n - len(placed)
         if row[j] != 0 or (j + 1 < len(row) and row[j + 1] == 0) or (j < len(up) and up[j] == 0):
-            raise AlgorithmError(f"content {k} offered to cell ({i + 1},{j + 1}) of the partial filling {rows[:-1]}")
+            raise AlgorithmError(f"content {k} offered to cell ({i + 1},{j + 1}) of the partial filling {rows}")
         row[j] = k
+        pos[k] = (i + 1, j + 1)
         length[i] = j
         placed.append(i)
 
@@ -100,7 +112,7 @@ def _fillings(s: Shape, prefix: tuple[int, ...] = ()) -> Iterator[tuple[tuple[in
     stack: list[list[int]] = []  # the untried rows at each depth below the prefix
     while True:
         if len(placed) == n:
-            yield tuple(map(tuple, rows[:-1]))
+            yield rows, pos
             stack.append([])
         else:
             stack.append(_corner_rows(inner, length))
@@ -116,8 +128,8 @@ def enumerate_syt(s: Shape) -> Iterator[Tableau]:
     """Every SYT of s exactly once, in a deterministic order: depth first,
     placing n, n-1, ..., 1 each in a removable corner of the cells still
     free, corners in descending row order."""
-    for rows in _fillings(s):
-        yield Tableau(s, rows)
+    for rows, _ in _fillings(s):
+        yield Tableau(s, tuple(map(tuple, rows)))
 
 
 @lru_cache(maxsize=None)
@@ -221,30 +233,28 @@ def distribution(s: Shape, stat: str, workers: int = 1) -> DistributionPolynomia
     return DistributionPolynomial.from_values(statistic_values(s, [stat], workers)[stat])
 
 
-# Per-tableau values besides the statistics: the cells that pin the classes
-# of equidistribution_report.
-PINS: dict[str, Callable[[Tableau], Cell]] = {
-    "cell_n": lambda t: t.positions()[t.n],
-    "cell_1": lambda t: t.positions()[min(t.n, 1)],
+# Per-tableau values besides the statistics, from the shape and pos as in
+# STATISTICS: the cells that pin the classes of equidistribution_report,
+# those of n and of 1 ((0, 0) on the empty shape).
+PINS: dict[str, Callable[[Shape, list[Cell]], Cell]] = {
+    "cell_n": lambda s, pos: pos[-1],
+    "cell_1": lambda s, pos: pos[min(len(pos) - 1, 1)],
 }
 REPORT_VALUES = ("inv", "maj", "cinv", "comaj", "cell_n", "cell_1")
-
-
-def _values(tableaux: Iterator[Tableau], names: list[str]) -> dict[str, list]:
-    fns = [STATISTICS[name] if name in STATISTICS else PINS[name] for name in names]
-    values: dict[str, list] = {name: [] for name in names}
-    for t in tableaux:
-        for name, fn in zip(names, fns):
-            values[name].append(fn(t))
-    return values
 
 
 def statistic_values(s: Shape, names: list[str], workers: int = 1) -> dict[str, list]:
     """Each named statistic or pin over all SYT of s, in enumeration order,
     from a single enumeration pass; with workers > 1 the pass is split into
-    prefix chunks (see `_prefixes`) that the worker processes share."""
+    prefix chunks (see `_prefixes`) that the worker processes share.
+
+    The values are read from the positions `_fillings` keeps, without
+    building or validating a Tableau per SYT.  With no names there is
+    nothing to compute, and nothing is enumerated."""
+    if not names:
+        return {}
     if workers <= 1:
-        return _values(enumerate_syt(s), names)
+        return _prefix_values(s, (), names)
     prefixes = _prefixes(s, 8 * workers)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunks = list(pool.map(_prefix_values, [s] * len(prefixes), prefixes, [names] * len(prefixes)))
@@ -269,7 +279,12 @@ def _prefixes(s: Shape, count: int) -> list[tuple[int, ...]]:
 
 
 def _prefix_values(s: Shape, prefix: tuple[int, ...], names: list[str]) -> dict[str, list]:
-    return _values((Tableau(s, rows) for rows in _fillings(s, prefix)), names)
+    """Each named value over the fillings of `_fillings(s, prefix)`."""
+    columns = [(STATISTICS[name] if name in STATISTICS else PINS[name], []) for name in names]
+    for _, pos in _fillings(s, prefix):
+        for fn, column in columns:
+            column.append(fn(s, pos))
+    return {name: column for name, (_, column) in zip(names, columns)}
 
 
 @dataclass

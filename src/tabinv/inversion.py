@@ -9,9 +9,11 @@ the co-major index; it is the South-West machinery run on a grid turned by
 Every map runs on one mutable `_Grid`: a zero-padded array of contents plus
 the cell of each content.  A path is kept as the height at which it crosses
 each column, so a cell is below a path exactly when its row is at most the
-height of its column.  A grid validates its input tableau in full once;
-after that each pivot step checks only what it wrote (`_Grid.check`), which
-on a standard tableau is equivalent to validating the whole result.
+height of its column.  A grid validates its input tableau in full once
+(the enumerator instead fills grids from cells its placement guard has
+already proved standard, `_Grid.of_positions`); after that each pivot step
+checks only what it wrote (`_Grid.check`), which on a standard tableau is
+equivalent to validating the whole result.
 """
 
 from __future__ import annotations
@@ -119,15 +121,28 @@ class _Grid:
         violations = validate_filling(t.shape, t.rows)
         if violations:
             raise TableauError(violations)
-        self.shape = t.shape
-        self.width = t.shape.width
-        self.g = g = [[0] * (self.width + 2) for _ in range(t.shape.n_rows + 2)]
-        self.pos = pos = [(0, 0)] * (t.n + 1)
-        for i, row in enumerate(t.rows, start=1):
-            for j, v in enumerate(row, start=1):
-                if v is not None:
-                    g[i][j] = v
-                    pos[v] = (i, j)
+        self._fill(t.shape, t.positions(), turned)
+
+    @classmethod
+    def of_positions(cls, shape: Shape, pos: list[Cell], turned: bool = False) -> "_Grid":
+        """The grid of the filling of shape with content c in cell pos[c].
+
+        The filling is not validated: the caller must already have proved
+        it standard, as the enumerator's placement guard does.  pos is
+        copied, so the caller may go on changing it."""
+        grid = cls.__new__(cls)
+        grid._fill(shape, list(pos), turned)
+        return grid
+
+    def _fill(self, shape: Shape, pos: list[Cell], turned: bool) -> None:
+        """Fill from pos, which the grid takes over and mutates."""
+        self.shape = shape
+        self.width = shape.width
+        self.g = g = [[0] * (self.width + 2) for _ in range(shape.n_rows + 2)]
+        self.pos = pos
+        for c in range(1, len(pos)):
+            i, j = pos[c]
+            g[i][j] = c
         if turned:
             self.turn()
 

@@ -207,8 +207,11 @@ def validate_filling(shape: Shape, rows: list[list[int | None]]) -> list[str]:
         v = g[i][j]
         if v is None:
             violations.append(f"missing entry at cell ({i},{j})")
-        elif not isinstance(v, int) or not 1 <= v <= n:
-            violations.append(f"content {v} at cell ({i},{j}) outside 1..{n}")
+        elif not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= n:
+            violations.append(f"content {v!r} at cell ({i},{j}) outside 1..{n}")
+            # Dropped, so the order checks compare only contents that
+            # passed this one; a non-integer may not compare at all.
+            g[i][j] = None
         elif v in seen:
             violations.append(f"duplicate content {v} at cells {seen[v]} and ({i},{j})")
         else:

@@ -83,16 +83,31 @@ def test_enumerate_check_makes_one_enumeration_pass(capsys, monkeypatch):
     import tabinv.enumeration as enumeration
 
     passes = []
-    enumerate_syt = enumeration.enumerate_syt
+    fillings = enumeration._fillings
 
-    def counting(shape):
+    def counting(shape, prefix=()):
         passes.append(shape)
-        return enumerate_syt(shape)
+        return fillings(shape, prefix)
 
-    monkeypatch.setattr(enumeration, "enumerate_syt", counting)
+    monkeypatch.setattr(enumeration, "_fillings", counting)
     assert main(["enumerate", "--shape", "3,2/1", "--stat", "maj,inv,comaj,cinv", "--check"]) == 0
     assert "check=pass" in capsys.readouterr().out
     assert len(passes) == 1
+
+
+def test_enumerate_without_statistics_does_not_enumerate(capsys, monkeypatch):
+    import tabinv.enumeration as enumeration
+
+    def no_pass(*args):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(enumeration, "_fillings", no_pass)
+    for stat in ("", ","):
+        for par in ("1", "2"):
+            assert main(["enumerate", "--shape", "3,2", "--stat", stat, "--par", par]) == 0
+            assert capsys.readouterr().out == "shape=3,2 count=5\n"
+            assert main(["enumerate", "--shape", "3,2", "--stat", stat, "--par", par, "--format", "json"]) == 0
+            assert json.loads(capsys.readouterr().out) == {"shape": "3,2", "count": 5, "distributions": []}
 
 
 @pytest.mark.parametrize("par", ["0", "-1"])

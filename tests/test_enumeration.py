@@ -9,17 +9,22 @@ from tabinv import (
     AlgorithmError,
     DistributionPolynomial,
     brute_force_count,
+    cinv_statistic,
+    comaj,
     count_syt,
     distribution,
     enumerate_syt,
     equidistribution_report,
     format_shape,
+    inv_statistic,
+    maj,
     normalize_shape,
     parse_shape,
     partitions_of,
     skew_catalog,
     validate_filling,
 )
+from tabinv.cli import main
 from tabinv.enumeration import REPORT_VALUES, STATISTICS, statistic_values
 from tabinv.model import Shape
 
@@ -103,6 +108,13 @@ class TestCounting:
             for t in enumerate_syt(s):
                 yielded.append(t)
         assert all(validate_filling(s, t.rows) == [] for t in yielded)
+        # The statistics read the generator's positions unvalidated, so the
+        # guard is the only check in front of them (for maj, the only check
+        # at all: without the guard it returns six values for two SYT).
+        for names in (["maj"], ["maj", "inv", "cinv"]):
+            with pytest.raises(AlgorithmError):
+                statistic_values(s, names)
+        assert main(["enumerate", "--shape", "2,2", "--check"]) == 3
 
 
 class TestPartitionsAndCatalog:
@@ -179,6 +191,39 @@ class TestDistribution:
     def test_pins_and_report_of_the_empty_shape(self):
         assert statistic_values(Shape(()), ["cell_n", "cell_1"]) == {"cell_n": [(0, 0)], "cell_1": [(0, 0)]}
         assert equidistribution_report(Shape(())).ok
+
+
+# The public Tableau-level functions that statistic_values stands in for.
+TABLEAU_VALUES = {
+    "inv": inv_statistic,
+    "maj": maj,
+    "cinv": cinv_statistic,
+    "comaj": comaj,
+    "cell_n": lambda t: t.positions()[t.n],
+    "cell_1": lambda t: t.positions()[min(t.n, 1)],
+}
+
+
+def tableau_values(s):
+    tableaux = list(enumerate_syt(s))
+    return {name: [fn(t) for t in tableaux] for name, fn in TABLEAU_VALUES.items()}
+
+
+class TestValuesFromPositions:
+    def test_serial_values_equal_the_tableau_functions(self):
+        assert set(TABLEAU_VALUES) == set(REPORT_VALUES)
+        shapes = (
+            skew_catalog()
+            + [parse_shape(text) for text in ("2,2/2", "3,3/1,1", "3,3,3/3", "3,3,1/1,1,1", "4,4,2/4,1", "3,2/3")]
+            + [Shape(())]
+        )
+        for s in shapes:
+            assert statistic_values(s, list(REPORT_VALUES)) == tableau_values(s), s
+
+    @pytest.mark.parametrize("text", ["4,3,1", "4,3,2/2", "4,4"])
+    def test_parallel_values_equal_the_tableau_functions(self, text):
+        s = parse_shape(text)
+        assert statistic_values(s, list(REPORT_VALUES), workers=2) == tableau_values(s)
 
 
 class TestEquidistribution:

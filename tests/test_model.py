@@ -85,6 +85,17 @@ class TestTableau:
         assert validate_filling(s, [[1, 2], [4, 3]]) != []
         assert validate_filling(s, [[1, 2], [3, None]]) != []
 
+    def test_non_integer_content_is_a_violation(self):
+        # A string next to an integer must not reach the order comparison.
+        with pytest.raises(TableauError, match="content 'a' at cell \\(1,1\\) outside 1..2"):
+            tableau_from_json_dict({"shape": [2], "rows": [["a", 1]]})
+        assert validate_filling(parse_shape("2,1"), [[1, "b"], [3]]) == ["content 'b' at cell (1,2) outside 1..3"]
+
+    def test_bool_content_is_a_violation(self):
+        assert validate_filling(parse_shape("2"), [[True, 2]]) == ["content True at cell (1,1) outside 1..2"]
+        with pytest.raises(TableauError):
+            tableau_from_json_dict({"shape": [2], "rows": [[True, 2]]})
+
     def test_skew_tableau_construction(self):
         t = make_tableau(parse_shape("2,2/1"), [[None, 1], [2, 3]])
         assert t.content((1, 2)) == 1
