@@ -250,7 +250,12 @@ def statistic_values(s: Shape, names: list[str], workers: int = 1) -> dict[str, 
 
     The values are read from the positions `_fillings` keeps, without
     building or validating a Tableau per SYT.  With no names there is
-    nothing to compute, and nothing is enumerated."""
+    nothing to compute, and nothing is enumerated.  The names are checked
+    before anything is enumerated or any worker starts."""
+    for name in names:
+        if name not in STATISTICS and name not in PINS:
+            known = f"{sorted(STATISTICS)} or the pins {sorted(PINS)}"
+            raise ValueError(f"unknown statistic {name!r}; choose from {known}")
     if not names:
         return {}
     if workers <= 1:

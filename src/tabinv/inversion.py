@@ -9,11 +9,18 @@ the co-major index; it is the South-West machinery run on a grid turned by
 Every map runs on one mutable `_Grid`: a zero-padded array of contents plus
 the cell of each content.  A path is kept as the height at which it crosses
 each column, so a cell is below a path exactly when its row is at most the
-height of its column.  A grid validates its input tableau in full once
-(the enumerator instead fills grids from cells its placement guard has
-already proved standard, `_Grid.of_positions`); after that each pivot step
-checks only what it wrote (`_Grid.check`), which on a standard tableau is
-equivalent to validating the whole result.
+height of its column.  Both step rules cut the contents below the pivot
+into runs of consecutive contents, so a block is an interval [a, b) of
+contents, kept as its first content (`_block_starts`), and cycling it
+rotates the slice pos[a:b] one place and writes its contents back to their
+new cells (`_Grid.cycle`).
+
+A grid validates its input tableau in full once (the enumerator instead
+fills grids from cells its placement guard has already proved standard,
+`_Grid.of_positions`).  After that each pivot step checks only the contents
+it moved (`_Grid.check`): each must stand in its new cell and be in order
+with its four neighbours, which on a standard tableau is equivalent to
+validating the whole result.
 """
 
 from __future__ import annotations
@@ -94,19 +101,22 @@ def _path_heights(path: LatticePath, width: int) -> list[int]:
     return h
 
 
-def _blocks(pos: list[Cell], h: list[int], k: int) -> tuple[bool, list[list[Cell]]]:
-    """Whether the cell of 1 is below the path, and the cycling blocks of the
-    contents below k: scanned in increasing content order, a content on the
-    side of 1 opens a block, one on the other side extends the current one."""
+def _block_starts(pos: list[Cell], h: list[int], k: int) -> list[int]:
+    """The first content of each cycling block of the contents below k, for
+    the path with column heights h.
+
+    Scanned in increasing content order, a content on the side of the cell
+    of 1 opens a block and one on the other side extends the current one.
+    So the blocks are the runs of consecutive contents between one start
+    and the next, the last one ending at k (see `_intervals`)."""
     i, j = pos[1]
     anchor = i <= h[j]
-    blocks: list[list[Cell]] = []
-    for cell in pos[1:k]:
-        if (cell[0] <= h[cell[1]]) == anchor:
-            blocks.append([cell])
-        else:
-            blocks[-1].append(cell)
-    return anchor, blocks
+    return [c for c, (i, j) in enumerate(pos[1:k], 1) if (i <= h[j]) == anchor]
+
+
+def _intervals(starts: list[int], k: int) -> Iterator[tuple[int, int]]:
+    """The blocks [a, b) of the contents below k with the given starts."""
+    return zip(starts, starts[1:] + [k])
 
 
 class _Grid:
@@ -115,6 +125,8 @@ class _Grid:
     g[i][j] is the content of cell (i, j) and 0 outside the shape, with a
     border of zeros on every side; pos[c] is the cell holding content c.
     A grid built `turned` starts as the grid of rotate_complement(t).
+    A pivot step cycles blocks of consecutive contents (`cycle`) and then
+    checks the contents it moved (`check`).
     """
 
     def __init__(self, t: Tableau, turned: bool = False):
@@ -184,59 +196,74 @@ class _Grid:
                 x -= 1
         return h
 
-    def rotate(self, blocks: list[list[Cell]], touched: list[tuple[Cell, int]]) -> None:
-        """Cycle each block: its first cell takes the content of its last
-        cell, every other cell the content of the cell before it.  Each
-        rewritten cell is appended to touched with its old content."""
-        g = self.g
-        for block in blocks:
-            if len(block) > 1:
-                old = [g[i][j] for i, j in block]
-                for (i, j), v in zip(block, old[-1:] + old[:-1]):
-                    g[i][j] = v
-                touched.extend(zip(block, old))
+    def cycle(self, blocks: list[tuple[int, int]], forward: bool = True) -> None:
+        """Cycle each block [a, b) of consecutive contents one place.
 
-    def check(self, touched: list[tuple[Cell, int]], context: str) -> None:
-        """Check a step that rewrote the touched cells, then update pos.
+        Forward, the cell of a takes b-1 and the cell of each other content
+        c takes c-1, so the slice pos[a:b] rotates one place to the left;
+        reversed, it rotates one place to the right.  Either way the cells
+        of the block only trade places.  Each content of the block is then
+        written to its new cell."""
+        g, pos = self.g, self.pos
+        for a, b in blocks:
+            if forward:  # pos[a:b] = pos[a + 1 : b] + [pos[a]]
+                pos.insert(b - 1, pos.pop(a))
+            else:  # pos[a:b] = [pos[b - 1]] + pos[a : b - 1]
+                pos.insert(a, pos.pop(b - 1))
+            for c in range(a, b):
+                i, j = pos[c]
+                g[i][j] = c
 
-        The new contents must be a permutation of the old ones, and each
-        touched cell must be smaller than its right and upper neighbours
-        and larger than its left and lower ones.  No other pair of adjacent
-        cells changed, so if the grid was standard before the step this
-        passes exactly when it is standard after it.
+    def check(self, moved: list[tuple[int, int]], context: str) -> None:
+        """Check a step that cycled the blocks [a, b) in moved.
+
+        Each moved content v must stand in its cell pos[v], and that cell
+        must be smaller than its right and upper neighbours and larger than
+        its left and lower ones.  The cells of a block only traded places,
+        so the first test makes the new contents of the moved cells a
+        permutation of the old ones; no other pair of adjacent cells
+        changed, so if the grid was standard before the step this passes
+        exactly when it is standard after it.
         """
-        g = self.g
-        new = [g[i][j] for (i, j), _ in touched]
-        ok = sorted(new) == sorted(old for _, old in touched) and not any(
-            0 < g[i][j - 1] >= v or 0 < g[i - 1][j] >= v or v >= g[i][j + 1] > 0 or v >= g[i + 1][j] > 0
-            for ((i, j), _), v in zip(touched, new)
-        )
-        if not ok:
-            violations = validate_filling(self.shape, self.tableau().rows)
-            raise AlgorithmError(f"{context} produced an invalid tableau: {violations}")
-        for (cell, _), v in zip(touched, new):
-            self.pos[v] = cell
+        g, pos = self.g, self.pos
+        for a, b in moved:
+            for v in range(a, b):
+                i, j = pos[v]
+                row = g[i]
+                if (
+                    row[j] != v
+                    or 0 < row[j - 1] >= v
+                    or v >= row[j + 1] > 0
+                    or 0 < g[i - 1][j] >= v
+                    or v >= g[i + 1][j] > 0
+                ):
+                    violations = validate_filling(self.shape, self.tableau().rows)
+                    violations = violations or [f"content {v} is not in its cell {pos[v]}"]
+                    raise AlgorithmError(f"{context} produced an invalid tableau: {violations}")
 
-    def psi_step(self, k: int, absent: int = 0) -> tuple[list[int], list[list[Cell]]]:
+    def psi_step(self, k: int, absent: int = 0) -> tuple[list[int], list[int]]:
         """Forward cycling for pivot k >= 3 along its inversion path (with
         absent cells counting as `absent`); returns the path's heights and
-        the blocks."""
+        the block starts (`_block_starts`)."""
         h = self.heights(k, absent)
-        _, blocks = _blocks(self.pos, h, k)
-        touched: list[tuple[Cell, int]] = []
-        self.rotate(blocks, touched)
-        self.check(touched, f"psi_{k}")
-        return h, blocks
+        starts = _block_starts(self.pos, h, k)
+        moved = [(a, b) for a, b in _intervals(starts, k) if b - a > 1]
+        if moved:
+            self.cycle(moved)
+            self.check(moved, f"psi_{k}")
+        return h, starts
 
-    def phi_step(self, k: int) -> tuple[list[int], list[list[Cell]]]:
+    def phi_step(self, k: int) -> tuple[list[int], list[int]]:
         """Reverse cycling for pivot k >= 3; returns the reconstructed path's
-        heights and the blocks in the order they were found.
+        heights and the block starts, in increasing order.
 
         The path grows from the cell of k one step at a time.  Before each
         step every block the partial path already determines is consumed:
         scanning down from the largest unused content, a block is a content
         on the anchor side followed by the maximal run below it on the other
-        side.  Its contents rotate one place the other way from `psi_step`.
+        side.  Each block is a run of consecutive contents, which cycles
+        one place the other way from `psi_step` as soon as it is found; the
+        step is checked once, on all the contents it moved.
         """
         g, pos = self.g, self.pos
         r, s = pos[k]
@@ -244,8 +271,8 @@ class _Grid:
         h = [r] * (self.width + 1)
         x, y = s - 1, r - 1
         low = k  # contents low..k-1 have joined a block
-        blocks: list[list[Cell]] = []
-        touched: list[tuple[Cell, int]] = []
+        starts: list[int] = []
+        moved: list[tuple[int, int]] = []
 
         def below(c: int) -> bool | None:
             i, j = pos[c]
@@ -268,10 +295,12 @@ class _Grid:
                     c2 -= 1
                 if c2 >= 1 and below(c2) is None:
                     break  # block not simple yet; retry after the path grows
-                found.append([pos[d] for d in range(c, c2, -1)])
+                starts.append(c2 + 1)
+                if c > c2 + 1:
+                    found.append((c2 + 1, c + 1))
                 low, c = c2 + 1, c2
-            self.rotate(found, touched)
-            blocks.extend(found)
+            self.cycle(found, forward=False)
+            moved.extend(found)
 
         while x and y:
             consume()
@@ -292,8 +321,9 @@ class _Grid:
         consume()
         if low > 1:
             raise AlgorithmError(f"phi_{k}: contents {list(range(1, low))} never joined a simple block")
-        self.check(touched, f"phi_{k}")
-        return h, blocks
+        self.check(moved, f"phi_{k}")
+        starts.reverse()
+        return h, starts
 
 
 def _check_pivot(t: Tableau, k: int, what: str = "pivot") -> None:
@@ -328,8 +358,10 @@ def forward_blocks(t: Tableau, k: int, path: LatticePath) -> BlockPartition:
     pos = t.positions()
     if path.start != (pos[k][1] - 1, pos[k][0] - 1):
         raise AlgorithmError(f"path {path} does not start at the cell of {k}")
-    anchor, blocks = _blocks(pos, _path_heights(path, t.shape.width), k)
-    return BlockPartition(k, BELOW if anchor else ABOVE, tuple(map(tuple, blocks)))
+    h = _path_heights(path, t.shape.width)
+    i, j = pos[1]
+    blocks = tuple(tuple(pos[a:b]) for a, b in _intervals(_block_starts(pos, h, k), k))
+    return BlockPartition(k, BELOW if i <= h[j] else ABOVE, blocks)
 
 
 @dataclass(frozen=True)
@@ -475,9 +507,13 @@ def map_trace(t: Tableau, forward: bool = True) -> tuple[Tableau, list[MapStage]
     pivots = range(t.n, 2, -1) if forward else range(3, t.n + 1)
     stages, paths = [], []
     for k in pivots:
-        h, blocks = grid.psi_step(k) if forward else grid.phi_step(k)
+        before = grid.pos[:]
+        h, starts = grid.psi_step(k) if forward else grid.phi_step(k)
+        blocks = [tuple(before[a:b]) for a, b in _intervals(starts, k)]
+        if not forward:  # found scanning down, each from its top content
+            blocks = [block[::-1] for block in reversed(blocks)]
         paths.append((grid.pos[k], h))
-        stages.append(MapStage(k, _lattice_path(grid.pos[k], h), tuple(map(tuple, blocks)), grid.tableau()))
+        stages.append(MapStage(k, _lattice_path(grid.pos[k], h), tuple(blocks), grid.tableau()))
     result = grid.tableau()
     if forward:
         ends = _end_paths(grid)

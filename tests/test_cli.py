@@ -140,15 +140,15 @@ def test_map_runs_one_cascade(direction, capsys, monkeypatch):
 def test_internal_error_exits_3(capsys, monkeypatch):
     from tabinv.inversion import _Grid
 
-    rotate = _Grid.rotate
+    cycle = _Grid.cycle
 
-    def bad_rotate(self, blocks, touched):
-        rotate(self, blocks, touched)
-        if touched:
-            (i, j), _ = touched[0]
+    def bad_cycle(self, blocks, forward=True):
+        cycle(self, blocks, forward)
+        if blocks:
+            i, j = self.pos[blocks[0][0]]
             self.g[i][j] += 1
 
-    monkeypatch.setattr(_Grid, "rotate", bad_rotate)
+    monkeypatch.setattr(_Grid, "cycle", bad_cycle)
     assert main(["map", "--input", str(FIXTURES / "straight_2x2.txt")]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -172,6 +172,21 @@ class TestDistribution:
         with pytest.raises(ValueError):
             distribution(parse_shape("2,1"), "charge")
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unknown_value_name_is_rejected_before_enumerating(self, workers, monkeypatch):
+        def no_pass(*args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(enumeration, "_fillings", no_pass)
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", no_pass)
+        expected = (
+            r"^unknown statistic 'charge'; choose from \['cinv', 'comaj', 'inv', 'maj'\]"
+            r" or the pins \['cell_1', 'cell_n'\]$"
+        )
+        for names in (["charge"], ["maj", "charge"]):
+            with pytest.raises(ValueError, match=expected):
+                statistic_values(parse_shape("3,2"), names, workers)
+
     def test_parallel_matches_serial(self):
         s = parse_shape("3,3,2")
         assert distribution(s, "inv", workers=2) == distribution(s, "inv")

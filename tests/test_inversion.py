@@ -44,7 +44,7 @@ from tabinv import (
 import tabinv.inversion as inversion
 import tabinv.model as model
 from tabinv.inversion import _Grid
-from tabinv.enumeration import skew_catalog
+from tabinv.enumeration import skew_catalog, statistic_values
 from tabinv.model import Shape, Tableau, TableauError, rotate_complement_into
 
 T22 = tableau_from_rows([[1, 2], [3, 4]])
@@ -365,10 +365,10 @@ class TestUnnormalizedShapes:
                     assert (x, y) == (t.shape.width, t.shape.n_rows)
 
 
-def _run_check(grid, touched):
+def _run_check(grid, moved):
     """True when the step check accepts the grid's current contents."""
     try:
-        grid.check(touched, "test")
+        grid.check(moved, "test")
     except AlgorithmError:
         return False
     return True
@@ -379,6 +379,10 @@ class TestStepCheck:
     tableau after each step."""
 
     def test_local_check_agrees_with_full_validation(self):
+        # Each case is a step that writes new contents to a few cells and,
+        # as `_Grid.cycle` does, records the cell of each moved content it
+        # writes; the check then sees the old contents of those cells as
+        # the moved ones, one block each.
         rng = random.Random(2024)
         verdicts = []
         for _ in range(600):
@@ -395,37 +399,59 @@ class TestStepCheck:
                 cells = rng.sample(t.shape.cells(), rng.randint(1, min(4, n)))
                 old = [t.content(cell) for cell in cells]
                 new = rng.sample(old, len(old)) if kind == 1 else [rng.randint(0, n + 1) for _ in cells]
-            touched = [(cell, t.content(cell)) for cell in cells]
+            moved = [t.content(cell) for cell in cells]
             rows = [list(r) for r in t.rows]
             for (i, j), v in zip(cells, new):
                 grid.g[i][j] = v
                 rows[i - 1][j - 1] = v
-            accepted = _run_check(grid, touched)
+                if v in moved:
+                    grid.pos[v] = (i, j)
+            accepted = _run_check(grid, [(v, v + 1) for v in moved])
             assert accepted == (not validate_filling(t.shape, rows)), (t.rows, cells, new)
             verdicts.append(accepted)
         assert 100 < sum(verdicts) < 500
 
-    def test_accepted_check_updates_positions(self):
-        t = tableau_from_rows([[1, 2], [3, 4]])
-        grid = _Grid(t)
-        grid.g[1][2], grid.g[2][1] = 3, 2
-        grid.check([((1, 2), 2), ((2, 1), 3)], "test")
-        assert grid.pos == tableau_from_rows([[1, 3], [2, 4]]).positions()
+    def test_cycle_rotates_a_run_of_positions(self):
+        grid = _Grid(T22B)
+        grid.cycle([(2, 4)])
+        assert grid.tableau() == T22 and grid.pos == T22.positions()
+        grid.check([(2, 4)], "test")
+        grid.cycle([(2, 4)], forward=False)
+        assert grid.tableau() == T22B and grid.pos == T22B.positions()
+        row = _Grid(tableau_from_rows([[1, 2, 3, 4]]))
+        row.cycle([(1, 4)])
+        assert row.tableau().rows == ((3, 1, 2, 4),)
+        violation = r"\['row not increasing: cell \(1,1\)=3 vs \(1,2\)=1'\]"
+        with pytest.raises(AlgorithmError, match=rf"^test produced an invalid tableau: {violation}$"):
+            row.check([(1, 4)], "test")
 
-    @pytest.mark.parametrize("fault", ["off_by_one", "duplicate"])
+    @pytest.mark.parametrize("fault", ["off_by_one", "duplicate", "swapped_cells"])
     def test_bad_cycling_write_raises(self, monkeypatch, fault):
         t = tableau_from_rows([[1, 2, 5], [3, 4, 6], [7]])
         image = psi(t)
-        rotate = _Grid.rotate
+        cycle = _Grid.cycle
 
-        def bad_rotate(self, blocks, touched):
-            rotate(self, blocks, touched)
-            if touched:
-                (i, j), (i2, j2) = touched[0][0], touched[-1][0]
-                self.g[i][j] = self.g[i][j] + 1 if fault == "off_by_one" else self.g[i2][j2]
+        def bad_cycle(self, blocks, forward=True):
+            cycle(self, blocks, forward)
+            if blocks:
+                a, b = blocks[0][0], blocks[-1][1]
+                (i, j), (i2, j2) = self.pos[a], self.pos[b - 1]
+                if fault == "swapped_cells":  # positions traded without rewriting the grid
+                    self.pos[a], self.pos[b - 1] = self.pos[b - 1], self.pos[a]
+                else:
+                    self.g[i][j] = self.g[i][j] + 1 if fault == "off_by_one" else self.g[i2][j2]
 
-        monkeypatch.setattr(_Grid, "rotate", bad_rotate)
-        for fn, arg in ((psi, t), (phi, image), (comaj_map, t), (cinv_statistic, t)):
+        monkeypatch.setattr(_Grid, "cycle", bad_cycle)
+        for fn, arg in (
+            (psi, t),
+            (phi, image),
+            (comaj_map, t),
+            (inv_statistic, t),
+            (cinv_statistic, t),
+            (map_trace, t),
+            (lambda s: map_trace(s, forward=False), image),
+            (lambda s: statistic_values(s, ["inv", "cinv"]), t.shape),
+        ):
             with pytest.raises(AlgorithmError):
                 fn(arg)
 
@@ -446,22 +472,30 @@ class TestStepCheck:
 
 
 class TestRandomLarge:
-    """Fixed-seed random tableaux with 25 to 80 cells."""
+    """Fixed-seed random tableaux, straight and skew, with 25 to 200 cells."""
 
     @staticmethod
-    def tableaux():
-        rng = random.Random(80)
-        for n in range(25, 81):
+    def tableaux(seed, sizes):
+        rng = random.Random(seed)
+        for n in sizes:
             yield random_syt.straight_syt(rng, n)
             yield random_syt.skew_syt(rng, n, rng.randint(1, n // 4))
 
+    @staticmethod
+    def check_bijection_and_statistics(t):
+        image = psi(t)
+        assert phi(image) == t
+        assert inv_statistic(t) == maj(image)
+        assert cinv_statistic(t) == comaj(comaj_map(t))
+        assert map_trace(image, forward=False)[::2] == (t, maj(image))
+
     def test_bijection_and_statistics(self):
-        for t in self.tableaux():
-            image = psi(t)
-            assert phi(image) == t
-            assert inv_statistic(t) == maj(image)
-            assert cinv_statistic(t) == comaj(comaj_map(t))
-            assert map_trace(image, forward=False)[::2] == (t, maj(image))
+        for t in self.tableaux(80, range(25, 81)):
+            self.check_bijection_and_statistics(t)
+
+    def test_bijection_and_statistics_at_100_to_200_cells(self):
+        for t in self.tableaux(200, range(100, 201, 10)):
+            self.check_bijection_and_statistics(t)
 
     def test_q_hook_oracle_for_inv(self):
         shape = (5, 3, 2, 1, 1)
