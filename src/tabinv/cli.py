@@ -3,8 +3,8 @@ classical permutation map, and plain rendering.
 
 Exit codes, mapped in `main` alone: 0 success or `--help`, 1 bad input (a
 usage error included), 2 verification failure, 3 internal error (an
-`AlgorithmError`, which signals a bug). Each verifying command builds one
-record, the dict `--format json` prints, and renders its text from it.
+`AlgorithmError`, which signals a bug). Every command builds one record,
+the dict `--format json` prints, and renders its text lines from it.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import sys
 
 from .enumeration import (
     REPORT_VALUES,
-    STATISTICS,
     DistributionPolynomial,
+    _check_statistics,
     count_syt,
     equidistribution_report,
     statistic_values,
@@ -71,13 +71,6 @@ def _emit(args, record: dict, lines: list[str]) -> None:
     print(json.dumps(record, indent=2) if args.format == "json" else "\n".join(lines))
 
 
-def _path_json(path, content=None) -> dict:
-    d = {"start": list(path.start), "steps": path.steps}
-    if content is not None:
-        d["content"] = content
-    return d
-
-
 def cmd_stats(args) -> int:
     t = _load_tableau(args.input)
     ips = inversion_path_set(t)
@@ -85,7 +78,8 @@ def cmd_stats(args) -> int:
     code = [0] * t.n
     for big, _ in pairs:
         code[big - 1] += 1
-    stats = {
+    out = tableau_to_json_dict(t)
+    out["stats"] = {
         "n": t.n,
         "descents": sorted(descent_set(t)),
         "maj": maj(t),
@@ -93,79 +87,63 @@ def cmd_stats(args) -> int:
         "inv": len(pairs),
         "code": code,
     }
-    path_rows = sorted(
-        (t.content(cell), cell, p) for cell, p in ips.paths.items()
-    )
-    if args.format == "json":
-        out = tableau_to_json_dict(t)
-        out["stats"] = stats
-        if args.paths:
-            out["paths"] = [_path_json(p, content=c) for c, _, p in path_rows]
-        if args.pairs:
-            out["pairs"] = [list(pair) for pair in pairs]
-        print(json.dumps(out, indent=2))
-        return 0
-    print(f"shape={format_shape(t.shape)}")
-    for key, value in stats.items():
-        print(f"{key}={_fmt_list(value) if isinstance(value, list) else value}")
+    lines = [f"shape={format_shape(t.shape)}"]
+    lines += [
+        f"{key}={_fmt_list(value) if isinstance(value, list) else value}"
+        for key, value in out["stats"].items()
+    ]
     if args.paths:
-        for c, cell, p in path_rows:
-            print(
-                f"path content={c} cell={_fmt_cell(cell)} "
-                f"start=({p.start[0]},{p.start[1]}) steps={p.steps or '-'}"
-            )
+        paths = sorted((t.content(cell), p) for cell, p in ips.paths.items())
+        out["paths"] = [{"start": list(p.start), "steps": p.steps, "content": c} for c, p in paths]
+        pos = t.positions()
+        lines += [
+            f"path content={p['content']} cell={_fmt_cell(pos[p['content']])} "
+            f"start={_fmt_cell(p['start'])} steps={p['steps'] or '-'}"
+            for p in out["paths"]
+        ]
     if args.pairs:
-        for big, small in pairs:
-            print(f"pair larger={big} smaller={small}")
+        out["pairs"] = [list(pair) for pair in pairs]
+        lines += [f"pair larger={big} smaller={small}" for big, small in out["pairs"]]
+    _emit(args, out, lines)
     return 0
-
-
-def _print_stage(stage, label: str) -> None:
-    p = stage.path
-    print(
-        f"stage {label} k={stage.k} start=({p.start[0]},{p.start[1]}) "
-        f"steps={p.steps or '-'}"
-    )
-    blocks = " ".join(
-        "[" + ",".join(_fmt_cell(c) for c in block) + "]" for block in stage.blocks
-    )
-    print(f"blocks: {blocks or '-'}")
-    sys.stdout.write(tableau_to_text(stage.result))
-    print()
 
 
 def cmd_map(args) -> int:
     t = _load_tableau(args.input)
     forward = args.direction == "forward"
     result, stages, inv = map_trace(t, forward)
-    pair = (inv, maj(result) if forward else maj(t))
-    label = "psi" if forward else "phi"
-    if args.format == "json":
-        out = {
-            "direction": args.direction,
-            "input": tableau_to_json_dict(t),
-            "output": tableau_to_json_dict(result),
-            "inv": pair[0],
-            "maj": pair[1],
-        }
-        if args.trace:
-            out["stages"] = [
-                {
-                    "k": st.k,
-                    "path": _path_json(st.path),
-                    "blocks": [[list(c) for c in block] for block in st.blocks],
-                    "result": tableau_to_json_dict(st.result),
-                }
-                for st in stages
+    out = {
+        "direction": args.direction,
+        "input": tableau_to_json_dict(t),
+        "output": tableau_to_json_dict(result),
+        "inv": inv,
+        "maj": maj(result) if forward else maj(t),
+    }
+    lines = []
+    if args.trace:
+        out["stages"] = [
+            {
+                "k": st.k,
+                "path": {"start": list(st.path.start), "steps": st.path.steps},
+                "blocks": [[list(c) for c in block] for block in st.blocks],
+                "result": tableau_to_json_dict(st.result),
+            }
+            for st in stages
+        ]
+        label = "psi" if forward else "phi"
+        for d, st in zip(out["stages"], stages):
+            path = d["path"]
+            blocks = " ".join("[" + ",".join(map(_fmt_cell, block)) + "]" for block in d["blocks"])
+            lines += [
+                f"stage {label} k={d['k']} start={_fmt_cell(path['start'])} steps={path['steps'] or '-'}",
+                f"blocks: {blocks or '-'}",
+                *tableau_to_text(st.result).splitlines(),
+                "",
             ]
-        print(json.dumps(out, indent=2))
-    else:
-        if args.trace:
-            for st in stages:
-                _print_stage(st, label)
-        sys.stdout.write(tableau_to_text(result))
-        print(f"inv={pair[0]} maj={pair[1]}")
-    if forward and pair[0] != pair[1]:
+    lines += tableau_to_text(result).splitlines()
+    lines.append(f"inv={out['inv']} maj={out['maj']}")
+    _emit(args, out, lines)
+    if out["inv"] != out["maj"]:
         print("error: inv/maj mismatch", file=sys.stderr)
         return 2
     return 0
@@ -176,9 +154,7 @@ def cmd_enumerate(args) -> int:
         raise ValueError("--par must be at least 1")
     shape = parse_shape(args.shape)
     stats = [s.strip() for s in args.stat.split(",") if s.strip()]
-    for s in stats:
-        if s not in STATISTICS:
-            raise ValueError(f"unknown statistic {s!r}; choose from {sorted(STATISTICS)}")
+    _check_statistics(stats)
     names = list(dict.fromkeys(stats + (list(REPORT_VALUES) if args.check else [])))
     values = statistic_values(shape, names, workers=args.par)
     polys = {s: DistributionPolynomial.from_values(values[s]) for s in stats}
@@ -253,10 +229,7 @@ def cmd_foata(args) -> int:
 
 def cmd_render(args) -> int:
     t = _load_tableau(args.input)
-    if args.format == "json":
-        print(json.dumps(tableau_to_json_dict(t), indent=2))
-    else:
-        sys.stdout.write(render(t))
+    _emit(args, tableau_to_json_dict(t), render(t).splitlines())
     return 0
 
 

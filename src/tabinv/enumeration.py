@@ -226,10 +226,16 @@ class DistributionPolynomial:
         return DistributionPolynomial(tuple(coeffs))
 
 
+def _check_statistics(names: list[str]) -> None:
+    """Raise ValueError on the first name that is not in STATISTICS."""
+    for name in names:
+        if name not in STATISTICS:
+            raise ValueError(f"unknown statistic {name!r}; choose from {sorted(STATISTICS)}")
+
+
 def distribution(s: Shape, stat: str, workers: int = 1) -> DistributionPolynomial:
     """Distribution polynomial of a statistic over all SYT of s."""
-    if stat not in STATISTICS:
-        raise ValueError(f"unknown statistic {stat!r}; choose from {sorted(STATISTICS)}")
+    _check_statistics([stat])
     return DistributionPolynomial.from_values(statistic_values(s, [stat], workers)[stat])
 
 

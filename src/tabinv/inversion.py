@@ -125,6 +125,7 @@ class _Grid:
     g[i][j] is the content of cell (i, j) and 0 outside the shape, with a
     border of zeros on every side; pos[c] is the cell holding content c.
     A grid built `turned` starts as the grid of rotate_complement(t).
+    `absent` is what a path reads outside the shape: 0, or n+1 once turned.
     A pivot step cycles blocks of consecutive contents (`cycle`) and then
     checks the contents it moved (`check`).
     """
@@ -152,6 +153,7 @@ class _Grid:
         self.width = shape.width
         self.g = g = [[0] * (self.width + 2) for _ in range(shape.n_rows + 2)]
         self.pos = pos
+        self.absent = 0
         for c in range(1, len(pos)):
             i, j = pos[c]
             g[i][j] = c
@@ -170,7 +172,7 @@ class _Grid:
         """Rotate the grid 180 degrees inside the bounding box of the shape
         it was built from and complement its contents (c -> n+1-c), as
         `model.rotate_complement` does.  The box stays, so turning twice
-        restores the grid and its shape."""
+        restores the grid, its shape and `absent`."""
         g, m = self.g, len(self.pos)
         g.reverse()  # the zero border rows swap with each other
         for i, row in enumerate(g):
@@ -178,13 +180,14 @@ class _Grid:
         rows, cols = len(g) - 2, self.width
         self.shape = _rotated_shape(self.shape, rows, cols)
         self.pos = [(0, 0)] + [(rows + 1 - i, cols + 1 - j) for i, j in reversed(self.pos[1:])]
+        self.absent = m - self.absent
 
-    def heights(self, k: int, absent: int = 0) -> list[int]:
+    def heights(self, k: int) -> list[int]:
         """Column heights of the SW path from the lower-left corner of the
         cell of k.  At each interior corner the path steps West when the
         content to the left beats the content below, else South; absent
         cells count as `absent`."""
-        g = self.g
+        g, absent = self.g, self.absent
         r, s = self.pos[k]
         h = [r] * (self.width + 1)
         x, y = s - 1, r - 1
@@ -241,11 +244,10 @@ class _Grid:
                     violations = violations or [f"content {v} is not in its cell {pos[v]}"]
                     raise AlgorithmError(f"{context} produced an invalid tableau: {violations}")
 
-    def psi_step(self, k: int, absent: int = 0) -> tuple[list[int], list[int]]:
-        """Forward cycling for pivot k >= 3 along its inversion path (with
-        absent cells counting as `absent`); returns the path's heights and
-        the block starts (`_block_starts`)."""
-        h = self.heights(k, absent)
+    def psi_step(self, k: int) -> tuple[list[int], list[int]]:
+        """Forward cycling for pivot k >= 3 along its inversion path;
+        returns the path's heights and the block starts (`_block_starts`)."""
+        h = self.heights(k)
         starts = _block_starts(self.pos, h, k)
         moved = [(a, b) for a, b in _intervals(starts, k) if b - a > 1]
         if moved:
@@ -426,7 +428,7 @@ class InversionPathSet:
     pairs: set[tuple[Cell, Cell]]
 
 
-def _inversions(grid: _Grid, absent: int = 0) -> tuple[list[tuple[Cell, list[int]]], list[tuple[Cell, Cell]]]:
+def _inversions(grid: _Grid) -> tuple[list[tuple[Cell, list[int]]], list[tuple[Cell, Cell]]]:
     """Run the forward cascade on grid and return (start cell, column
     heights) of every path that anchors inversion pairs, with the pairs they
     define on the grid's starting contents: the inversion paths of pivots n
@@ -437,16 +439,16 @@ def _inversions(grid: _Grid, absent: int = 0) -> tuple[list[tuple[Cell, list[int
     cells are distinct and the exempt cell is where 1 ends up.
     """
     start = [row[:] for row in grid.g], grid.pos[:]
-    paths = [(grid.pos[k], grid.psi_step(k, absent)[0]) for k in range(len(grid.pos) - 1, 2, -1)]
-    paths += _end_paths(grid, absent)
+    paths = [(grid.pos[k], grid.psi_step(k)[0]) for k in range(len(grid.pos) - 1, 2, -1)]
+    paths += _end_paths(grid)
     return paths, list(_pairs(*start, paths))
 
 
-def _end_paths(grid: _Grid, absent: int = 0) -> list[tuple[Cell, list[int]]]:
+def _end_paths(grid: _Grid) -> list[tuple[Cell, list[int]]]:
     """The paths of pivot 2 and of the exempt cell, on a grid at the output
     end of the forward cascade."""
     n = len(grid.pos) - 1
-    paths = [(grid.pos[2], grid.heights(2, absent))] if n >= 2 else []
+    paths = [(grid.pos[2], grid.heights(2))] if n >= 2 else []
     if n:
         i, j = grid.pos[1]
         paths.append(((i, j), [0] * j + [i] * (grid.width + 1 - j)))
@@ -558,12 +560,12 @@ def ne_inversion_path(t: Tableau, k: int) -> LatticePath:
     when the content above beats the content to the right (absent cells
     count 0, double absence steps North) and ends, clamped at the bounding
     box border, in the box's upper-right corner.  After complementing,
-    absent cells of the turned grid count as n+1.
+    absent cells of the turned grid count as n+1 (`_Grid.absent`).
     """
     _check_pivot(t, k, "content")
     grid = _Grid(t, turned=True)
     c = t.n + 1 - k
-    return _rotate_path(t.shape, _lattice_path(grid.pos[c], grid.heights(c, t.n + 1)))
+    return _rotate_path(t.shape, _lattice_path(grid.pos[c], grid.heights(c)))
 
 
 def ne_blocks(t: Tableau, k: int, path: LatticePath) -> BlockPartition:
@@ -583,7 +585,7 @@ def comaj_map(t: Tableau) -> Tableau:
 
 
 def ne_inversion_path_set(t: Tableau) -> InversionPathSet:
-    paths, pairs = _inversions(_Grid(t, turned=True), t.n + 1)
+    paths, pairs = _inversions(_Grid(t, turned=True))
     return InversionPathSet(
         {_rotate_cell(t.shape, cell): _rotate_path(t.shape, _lattice_path(cell, h)) for cell, h in paths[:-1]},
         _rotate_cell(t.shape, paths[-1][0]),

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import CLI_CASES, FIXTURES, GOLDEN, run_cli_case
 from tabinv.cli import main
+from tabinv.model import parse_shape, parse_tableau_text, tableau_to_json_dict
 
 
 @pytest.mark.parametrize("golden_name,argv", CLI_CASES, ids=[c[0] for c in CLI_CASES])
@@ -272,3 +273,112 @@ def test_failed_verification_exits_2(capsys, monkeypatch):
         assert main(argv + ["--format", "json"]) == 2
         record = json.loads(capsys.readouterr().out)
         assert record.get("check", record)["ok"] is False
+
+
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_map_mismatch_exits_2(direction, capsys, monkeypatch):
+    import tabinv.cli as cli
+
+    map_trace = cli.map_trace
+
+    def skewed_trace(*args, **kwargs):
+        result, stages, inv = map_trace(*args, **kwargs)
+        return result, stages, inv + 1
+
+    monkeypatch.setattr(cli, "map_trace", skewed_trace)
+    argv = ["map", "--input", str(FIXTURES / "straight_2x2.txt"), "--direction", direction]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    inv, maj = re.fullmatch(r"inv=(\d+) maj=(\d+)", captured.out.splitlines()[-1]).groups()
+    assert int(inv) == int(maj) + 1
+    assert captured.err == "error: inv/maj mismatch\n"
+    assert main(argv + ["--format", "json"]) == 2
+    captured = capsys.readouterr()
+    record = json.loads(captured.out)
+    assert record["inv"] == record["maj"] + 1
+    assert captured.err == "error: inv/maj mismatch\n"
+
+
+def _steps(text):
+    return "" if text == "-" else text
+
+
+def _stats_record(text):
+    """The record that `stats --paths --pairs` text lines describe, read
+    back, and the cell each path line names, by content."""
+    record = {"stats": {}, "paths": [], "pairs": []}
+    cells = {}
+    for line in text.splitlines():
+        if m := re.fullmatch(r"path content=(\d+) cell=(\S+) start=(\S+) steps=(\S+)", line):
+            content, cell, start, steps = m.groups()
+            record["paths"].append({"start": _cell(start), "steps": _steps(steps), "content": int(content)})
+            cells[int(content)] = _cell(cell)
+        elif m := re.fullmatch(r"pair larger=(\d+) smaller=(\d+)", line):
+            record["pairs"].append([int(v) for v in m.groups()])
+        else:
+            key, value = line.split("=")
+            if key == "shape":
+                record["shape"] = value
+            else:
+                record["stats"][key] = json.loads(value)
+    return record, cells
+
+
+@pytest.mark.parametrize("fixture", ["straight_2x2.txt", "skew_22_1.txt"])
+def test_stats_text_and_json_agree(fixture, capsys):
+    argv = ["stats", "--input", str(FIXTURES / fixture), "--paths", "--pairs"]
+    code, text = _run(argv, capsys)
+    json_code, out = _run(argv + ["--format", "json"], capsys)
+    assert code == json_code == 0
+    record = json.loads(out)
+    rows = record.pop("rows")
+    read_back, cells = _stats_record(text)
+    shape = parse_shape(read_back.pop("shape"))
+    assert [list(shape.outer), list(shape.inner)] == [record.pop("shape"), record.pop("inner")]
+    assert read_back == record
+    assert record["paths"] and record["pairs"]
+    for content, (i, j) in cells.items():
+        assert rows[i - 1][j - 1] == content
+
+
+def _tableau_record(text):
+    return tableau_to_json_dict(parse_tableau_text(text))
+
+
+def _map_record(text, direction, fixture):
+    """The record that `map --trace` text lines describe, read back; the
+    input tableau, which the text does not print, is read from fixture."""
+    *stage_chunks, last = text.split("\n\n")
+    *output, totals = last.splitlines()
+    record = {
+        "direction": direction,
+        "input": _tableau_record((FIXTURES / fixture).read_text()),
+        "output": _tableau_record("\n".join(output)),
+    }
+    record.update({key: int(value) for key, value in (f.split("=") for f in totals.split())})
+    record["stages"] = []
+    label = "psi" if direction == "forward" else "phi"
+    for chunk in stage_chunks:
+        head, blocks, *tableau = chunk.splitlines()
+        k, start, steps = re.fullmatch(rf"stage {label} k=(\d+) start=(\S+) steps=(\S+)", head).groups()
+        record["stages"].append(
+            {
+                "k": int(k),
+                "path": {"start": _cell(start), "steps": _steps(steps)},
+                "blocks": [[_cell(c) for c in re.findall(r"\(\d+,\d+\)", b)] for b in re.findall(r"\[[^]]*\]", blocks)],
+                "result": _tableau_record("\n".join(tableau)),
+            }
+        )
+    return record
+
+
+@pytest.mark.parametrize("fixture", ["straight_2x2.txt", "skew_22_1.txt"])
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_map_text_and_json_agree(direction, fixture, capsys):
+    argv = ["map", "--input", str(FIXTURES / fixture), "--direction", direction, "--trace"]
+    code, text = _run(argv, capsys)
+    json_code, out = _run(argv + ["--format", "json"], capsys)
+    assert code == json_code == 0
+    record = json.loads(out)
+    assert _map_record(text, direction, fixture) == record
+    assert record["stages"]
