@@ -4,12 +4,13 @@ checks, with an independent brute-force counting oracle."""
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from .inversion import AlgorithmError, _Grid, _inversions
+from .inversion import AlgorithmError, _count, _Grid
 from .model import Cell, Shape, Tableau, corner_cells, validate_filling
 from .stats import comaj_of, maj_of
 
@@ -20,8 +21,8 @@ from .stats import comaj_of, maj_of
 STATISTICS: dict[str, Callable[[Shape, list[Cell]], int]] = {
     "maj": lambda s, pos: maj_of(pos),
     "comaj": lambda s, pos: comaj_of(pos),
-    "inv": lambda s, pos: len(_inversions(_Grid.of_positions(s, pos))[1]),
-    "cinv": lambda s, pos: len(_inversions(_Grid.of_positions(s, pos, turned=True))[1]),
+    "inv": lambda s, pos: _count(_Grid.of_positions(s, pos)),
+    "cinv": lambda s, pos: _count(_Grid.of_positions(s, pos, turned=True)),
 }
 
 
@@ -252,7 +253,9 @@ REPORT_VALUES = ("inv", "maj", "cinv", "comaj", "cell_n", "cell_1")
 def statistic_values(s: Shape, names: list[str], workers: int = 1) -> dict[str, list]:
     """Each named statistic or pin over all SYT of s, in enumeration order,
     from a single enumeration pass; with workers > 1 the pass is split into
-    prefix chunks (see `_prefixes`) that the worker processes share.
+    prefix chunks (see `_prefixes`) that the worker processes share.  At
+    most min(workers, the CPUs available, the number of chunks) processes
+    start.
 
     The values are read from the positions `_fillings` keeps, without
     building or validating a Tableau per SYT.  With no names there is
@@ -264,12 +267,21 @@ def statistic_values(s: Shape, names: list[str], workers: int = 1) -> dict[str, 
             raise ValueError(f"unknown statistic {name!r}; choose from {known}")
     if not names:
         return {}
+    workers = min(workers, _available_cpus())
     if workers <= 1:
         return _prefix_values(s, (), names)
     prefixes = _prefixes(s, 8 * workers)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(prefixes))) as pool:
         chunks = list(pool.map(_prefix_values, [s] * len(prefixes), prefixes, [names] * len(prefixes)))
     return {name: [v for chunk in chunks for v in chunk[name]] for name in names}
+
+
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _prefixes(s: Shape, count: int) -> list[tuple[int, ...]]:

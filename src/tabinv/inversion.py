@@ -4,19 +4,27 @@ The forward map cycles contents inside blocks determined by a monotone
 South-West lattice path; the composite over all pivots sends the inversion
 statistic to the major index.  A North-East variant plays the same role for
 the co-major index; it is the South-West machinery run on a grid turned by
-180 degrees with its contents complemented (`_Grid.turn`).
+180 degrees with its contents complemented.  Such a grid is filled straight
+from the rotated cells and complemented contents, with the turned shape
+computed once per shape; `_Grid.turn` only turns a grid back.
 
 Every map runs on one mutable `_Grid`: a zero-padded array of contents plus
 the cell of each content.  A path is kept as the height at which it crosses
 each column, so a cell is below a path exactly when its row is at most the
 height of its column.  Both step rules cut the contents below the pivot
 into runs of consecutive contents, so a block is an interval [a, b) of
-contents, kept as its first content (`_block_starts`), and cycling it
-rotates the slice pos[a:b] one place and writes its contents back to their
-new cells (`_Grid.cycle`).
+contents.  The forward step finds its blocks in one scan of the contents
+(`_blocks`), and cycling a block rotates the slice pos[a:b] one place and
+writes its contents back to their new cells (`_Grid.cycle`).
 
-A grid validates its input tableau in full once (the enumerator instead
-fills grids from cells its placement guard has already proved standard,
+The inversion statistic is counted from the paths the forward cascade
+records: each path counts the cells below it (`_below`), with no pair
+built; only the callers that return the pairs build them (`_pairs`), from
+the same paths and the same rule.
+
+A grid validates its input tableau in full once, and takes the cell of
+each content from that same check (the enumerator instead fills grids from
+cells its placement guard has already proved standard,
 `_Grid.of_positions`).  After that each pivot step checks only the contents
 it moved (`_Grid.check`): each must stand in its new cell and be in order
 with its four neighbours, which on a standard tableau is equivalent to
@@ -26,6 +34,7 @@ validating the whole result.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .model import (
@@ -33,6 +42,7 @@ from .model import (
     Shape,
     Tableau,
     TableauError,
+    _checked_positions,
     _rotated_shape,
     validate_filling,
 )
@@ -101,9 +111,10 @@ def _path_heights(path: LatticePath, width: int) -> list[int]:
     return h
 
 
-def _block_starts(pos: list[Cell], h: list[int], k: int) -> list[int]:
-    """The first content of each cycling block of the contents below k, for
-    the path with column heights h.
+def _blocks(pos: list[Cell], h: list[int], k: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """The cycling blocks of the contents below k, for the path with column
+    heights h, in one scan: the first content of each block, and the blocks
+    of two or more contents as intervals [a, b).
 
     Scanned in increasing content order, a content on the side of the cell
     of 1 opens a block and one on the other side extends the current one.
@@ -111,12 +122,31 @@ def _block_starts(pos: list[Cell], h: list[int], k: int) -> list[int]:
     and the next, the last one ending at k (see `_intervals`)."""
     i, j = pos[1]
     anchor = i <= h[j]
-    return [c for c, (i, j) in enumerate(pos[1:k], 1) if (i <= h[j]) == anchor]
+    starts: list[int] = []
+    runs: list[tuple[int, int]] = []
+    a = 1
+    for c in range(1, k):
+        i, j = pos[c]
+        if (i <= h[j]) == anchor:
+            if c - a > 1:
+                runs.append((a, c))
+            starts.append(c)
+            a = c
+    if k - a > 1:
+        runs.append((a, k))
+    return starts, runs
 
 
 def _intervals(starts: list[int], k: int) -> Iterator[tuple[int, int]]:
     """The blocks [a, b) of the contents below k with the given starts."""
     return zip(starts, starts[1:] + [k])
+
+
+@lru_cache(maxsize=64)
+def _turned_shape(shape: Shape) -> Shape:
+    """The shape of a grid of `shape` once turned (`_Grid.turn`), computed
+    once per shape rather than once per grid."""
+    return _rotated_shape(shape, shape.n_rows, shape.width)
 
 
 class _Grid:
@@ -131,10 +161,10 @@ class _Grid:
     """
 
     def __init__(self, t: Tableau, turned: bool = False):
-        violations = validate_filling(t.shape, t.rows)
+        violations, pos = _checked_positions(t.shape, t.rows)
         if violations:
             raise TableauError(violations)
-        self._fill(t.shape, t.positions(), turned)
+        self._fill(t.shape, pos, turned)
 
     @classmethod
     def of_positions(cls, shape: Shape, pos: list[Cell], turned: bool = False) -> "_Grid":
@@ -148,17 +178,19 @@ class _Grid:
         return grid
 
     def _fill(self, shape: Shape, pos: list[Cell], turned: bool) -> None:
-        """Fill from pos, which the grid takes over and mutates."""
-        self.shape = shape
-        self.width = shape.width
-        self.g = g = [[0] * (self.width + 2) for _ in range(shape.n_rows + 2)]
-        self.pos = pos
-        self.absent = 0
+        """Fill from pos, which the grid takes over and mutates.  Turned,
+        fill straight from the rotated cells and complemented contents, as
+        `turn` would leave the grid."""
+        rows, cols = shape.n_rows, shape.width
+        absent = 0
+        if turned:
+            pos = [(0, 0)] + [(rows + 1 - i, cols + 1 - j) for i, j in reversed(pos[1:])]
+            shape, absent = _turned_shape(shape), len(pos)
+        self.shape, self.width, self.pos, self.absent = shape, cols, pos, absent
+        self.g = g = [[0] * (cols + 2) for _ in range(rows + 2)]
         for c in range(1, len(pos)):
             i, j = pos[c]
             g[i][j] = c
-        if turned:
-            self.turn()
 
     def tableau(self) -> Tableau:
         s = self.shape
@@ -172,7 +204,8 @@ class _Grid:
         """Rotate the grid 180 degrees inside the bounding box of the shape
         it was built from and complement its contents (c -> n+1-c), as
         `model.rotate_complement` does.  The box stays, so turning twice
-        restores the grid, its shape and `absent`."""
+        restores the grid, its shape and `absent`.  A grid is built turned
+        by `_fill`; this turns it back."""
         g, m = self.g, len(self.pos)
         g.reverse()  # the zero border rows swap with each other
         for i, row in enumerate(g):
@@ -217,8 +250,9 @@ class _Grid:
                 i, j = pos[c]
                 g[i][j] = c
 
-    def check(self, moved: list[tuple[int, int]], context: str) -> None:
-        """Check a step that cycled the blocks [a, b) in moved.
+    def check(self, moved: list[tuple[int, int]], step: str, k: int | None = None) -> None:
+        """Check the step `step`_k (or `step` with no k) that cycled the
+        blocks [a, b) in moved.
 
         Each moved content v must stand in its cell pos[v], and that cell
         must be smaller than its right and upper neighbours and larger than
@@ -233,26 +267,28 @@ class _Grid:
             for v in range(a, b):
                 i, j = pos[v]
                 row = g[i]
+                # Absent cells hold 0, which is below every content v >= 1,
+                # so only the right and upper neighbours test for absence.
                 if (
                     row[j] != v
-                    or 0 < row[j - 1] >= v
-                    or v >= row[j + 1] > 0
-                    or 0 < g[i - 1][j] >= v
-                    or v >= g[i + 1][j] > 0
+                    or row[j - 1] >= v
+                    or 0 < row[j + 1] <= v
+                    or g[i - 1][j] >= v
+                    or 0 < g[i + 1][j] <= v
                 ):
                     violations = validate_filling(self.shape, self.tableau().rows)
                     violations = violations or [f"content {v} is not in its cell {pos[v]}"]
+                    context = step if k is None else f"{step}_{k}"
                     raise AlgorithmError(f"{context} produced an invalid tableau: {violations}")
 
     def psi_step(self, k: int) -> tuple[list[int], list[int]]:
         """Forward cycling for pivot k >= 3 along its inversion path;
-        returns the path's heights and the block starts (`_block_starts`)."""
+        returns the path's heights and the block starts (`_blocks`)."""
         h = self.heights(k)
-        starts = _block_starts(self.pos, h, k)
-        moved = [(a, b) for a, b in _intervals(starts, k) if b - a > 1]
+        starts, moved = _blocks(self.pos, h, k)
         if moved:
             self.cycle(moved)
-            self.check(moved, f"psi_{k}")
+            self.check(moved, "psi", k)
         return h, starts
 
     def phi_step(self, k: int) -> tuple[list[int], list[int]]:
@@ -323,7 +359,7 @@ class _Grid:
         consume()
         if low > 1:
             raise AlgorithmError(f"phi_{k}: contents {list(range(1, low))} never joined a simple block")
-        self.check(moved, f"phi_{k}")
+        self.check(moved, "phi", k)
         starts.reverse()
         return h, starts
 
@@ -362,7 +398,7 @@ def forward_blocks(t: Tableau, k: int, path: LatticePath) -> BlockPartition:
         raise AlgorithmError(f"path {path} does not start at the cell of {k}")
     h = _path_heights(path, t.shape.width)
     i, j = pos[1]
-    blocks = tuple(tuple(pos[a:b]) for a, b in _intervals(_block_starts(pos, h, k), k))
+    blocks = tuple(tuple(pos[a:b]) for a, b in _intervals(_blocks(pos, h, k)[0], k))
     return BlockPartition(k, BELOW if i <= h[j] else ABOVE, blocks)
 
 
@@ -428,20 +464,28 @@ class InversionPathSet:
     pairs: set[tuple[Cell, Cell]]
 
 
-def _inversions(grid: _Grid) -> tuple[list[tuple[Cell, list[int]]], list[tuple[Cell, Cell]]]:
-    """Run the forward cascade on grid and return (start cell, column
-    heights) of every path that anchors inversion pairs, with the pairs they
-    define on the grid's starting contents: the inversion paths of pivots n
-    down to 2, each taken just before its own cycling step, then the trivial
-    path at the lower-left corner of the exempt cell.
+def _inversions(grid: _Grid) -> tuple[list[tuple[Cell, list[int]]], tuple[list[list[int]], list[Cell]]]:
+    """Run the forward cascade on grid and return every path that anchors
+    inversion pairs, and the grid's starting contents, on which they count
+    (`_below`): the inversion paths of pivots n down to 2, each taken just
+    before its own cycling step, then the trivial path at the lower-left
+    corner of the exempt cell.  The statistic is the number of counted
+    cells (`_count`); only the callers that return pairs build them
+    (`_pairs`).
 
     Once pivot k has cycled, content k never moves again, so the path start
     cells are distinct and the exempt cell is where 1 ends up.
     """
     start = [row[:] for row in grid.g], grid.pos[:]
     paths = [(grid.pos[k], grid.psi_step(k)[0]) for k in range(len(grid.pos) - 1, 2, -1)]
-    paths += _end_paths(grid)
-    return paths, list(_pairs(*start, paths))
+    return paths + _end_paths(grid), start
+
+
+def _count(grid: _Grid) -> int:
+    """The inversion statistic of the grid's contents; the grid is left at
+    the output end of the forward cascade."""
+    paths, start = _inversions(grid)
+    return len(_below(*start, paths))
 
 
 def _end_paths(grid: _Grid) -> list[tuple[Cell, list[int]]]:
@@ -455,25 +499,30 @@ def _end_paths(grid: _Grid) -> list[tuple[Cell, list[int]]]:
     return paths
 
 
-def _pairs(g: list[list[int]], pos: list[Cell], paths: list[tuple[Cell, list[int]]]) -> Iterator[tuple[Cell, Cell]]:
-    """(path cell, smaller cell) for each cell whose content in the grid
-    contents g (with pos the cell of each content) is below that of the
-    path's start cell and that lies below the path."""
-    for (i, j), h in paths:
-        for small in pos[1 : g[i][j]]:
-            if small[0] <= h[small[1]]:
-                yield (i, j), small
+def _below(g: list[list[int]], pos: list[Cell], paths: list[tuple[Cell, list[int]]]) -> list[Cell]:
+    """The cells the paths count on the grid contents g, with pos the cell
+    of each content, path after path: for a path with start cell (i, j)
+    and column heights h, each cell whose content is below g[i][j] and that
+    lies below the path."""
+    return [cell for (i, j), h in paths for cell in pos[1 : g[i][j]] if cell[0] <= h[cell[1]]]
+
+
+def _pairs(
+    paths: list[tuple[Cell, list[int]]], start: tuple[list[list[int]], list[Cell]]
+) -> list[tuple[Cell, Cell]]:
+    """(path cell, counted cell) for each cell a path counts (`_below`)."""
+    return [(path[0], cell) for path in paths for cell in _below(*start, [path])]
 
 
 def inversion_path_set(t: Tableau) -> InversionPathSet:
     """The n-1 inversion paths, recorded along the forward cascade: each on
     the cascade's tableau just before its pivot's step (see
     `InversionPathSet`), not on t."""
-    paths, pairs = _inversions(_Grid(t))
+    paths, start = _inversions(_Grid(t))
     return InversionPathSet(
         {cell: _lattice_path(cell, h) for cell, h in paths[:-1]},
         paths[-1][0],
-        set(pairs),
+        set(_pairs(paths, start)),
     )
 
 
@@ -487,11 +536,11 @@ def inversion_pairs(t: Tableau) -> set[tuple[Cell, Cell]]:
     and therefore anchors nothing; on skew shapes the rule is what makes
     the statistic match the major index of the composite map.
     """
-    return set(_inversions(_Grid(t))[1])
+    return set(_pairs(*_inversions(_Grid(t))))
 
 
 def inv_statistic(t: Tableau) -> int:
-    return len(_inversions(_Grid(t))[1])
+    return _count(_Grid(t))
 
 
 def map_trace(t: Tableau, forward: bool = True) -> tuple[Tableau, list[MapStage], int]:
@@ -504,7 +553,7 @@ def map_trace(t: Tableau, forward: bool = True) -> tuple[Tableau, list[MapStage]
     of its result; pivot 2 and the exempt cell take theirs at psi's output
     end (the result, or t)."""
     grid = _Grid(t)
-    counted = [row[:] for row in grid.g], grid.pos[:]
+    start = [row[:] for row in grid.g], grid.pos[:]
     ends = [] if forward else _end_paths(grid)
     pivots = range(t.n, 2, -1) if forward else range(3, t.n + 1)
     stages, paths = [], []
@@ -520,16 +569,17 @@ def map_trace(t: Tableau, forward: bool = True) -> tuple[Tableau, list[MapStage]
     if forward:
         ends = _end_paths(grid)
     else:
-        counted = grid.g, grid.pos
-    return result, stages, sum(1 for _ in _pairs(*counted, paths + ends))
+        start = grid.g, grid.pos
+    return result, stages, len(_below(*start, paths + ends))
 
 
 def inv_code(t: Tableau) -> list[int]:
     """Per-content inversion counts: entry k-1 is the number of pairs whose
     larger cell holds k.  Sums to the inversion statistic."""
     code = [0] * t.n
-    for big_cell, _ in _inversions(_Grid(t))[1]:
-        code[t.content(big_cell) - 1] += 1
+    paths, start = _inversions(_Grid(t))
+    for path in paths:
+        code[t.content(path[0]) - 1] = len(_below(*start, [path]))
     return code
 
 
@@ -585,11 +635,11 @@ def comaj_map(t: Tableau) -> Tableau:
 
 
 def ne_inversion_path_set(t: Tableau) -> InversionPathSet:
-    paths, pairs = _inversions(_Grid(t, turned=True))
+    paths, start = _inversions(_Grid(t, turned=True))
     return InversionPathSet(
         {_rotate_cell(t.shape, cell): _rotate_path(t.shape, _lattice_path(cell, h)) for cell, h in paths[:-1]},
         _rotate_cell(t.shape, paths[-1][0]),
-        {(_rotate_cell(t.shape, a), _rotate_cell(t.shape, b)) for a, b in pairs},
+        {(_rotate_cell(t.shape, a), _rotate_cell(t.shape, b)) for a, b in _pairs(paths, start)},
     )
 
 
@@ -600,4 +650,4 @@ def cinv_statistic(t: Tableau) -> int:
     Mirroring the SW statistic, the exempt cell anchors pairs through the
     trivial path at its own upper-right corner (every larger content weakly
     north-west of it counts)."""
-    return len(_inversions(_Grid(t, turned=True))[1])
+    return _count(_Grid(t, turned=True))

@@ -193,6 +193,13 @@ class Tableau:
 
 def validate_filling(shape: Shape, rows: list[list[int | None]]) -> list[str]:
     """All standardness violations of a raw filling; empty list means valid."""
+    return _checked_positions(shape, rows)[0]
+
+
+def _checked_positions(shape: Shape, rows: list[list[int | None]]) -> tuple[list[str], list[Cell | None]]:
+    """validate_filling's violations, and pos with pos[c] the cell of
+    content c as the check found it (None for a content it did not find).
+    On a valid filling pos equals `Tableau.positions()`."""
     violations: list[str] = []
     n = shape.size
     cells = shape.cells()
@@ -202,7 +209,7 @@ def validate_filling(shape: Shape, rows: list[list[int | None]]) -> list[str]:
     for (i, j) in cells:
         if i <= len(rows) and j <= len(rows[i - 1]):
             g[i][j] = rows[i - 1][j - 1]
-    seen: dict[int, Cell] = {}
+    pos: list[Cell | None] = [(0, 0)] + [None] * n
     for (i, j) in cells:
         v = g[i][j]
         if v is None:
@@ -212,10 +219,10 @@ def validate_filling(shape: Shape, rows: list[list[int | None]]) -> list[str]:
             # Dropped, so the order checks compare only contents that
             # passed this one; a non-integer may not compare at all.
             g[i][j] = None
-        elif v in seen:
-            violations.append(f"duplicate content {v} at cells {seen[v]} and ({i},{j})")
+        elif pos[v] is not None:
+            violations.append(f"duplicate content {v} at cells {pos[v]} and ({i},{j})")
         else:
-            seen[v] = (i, j)
+            pos[v] = (i, j)
     for (i, j) in cells:
         v, right, above = g[i][j], g[i][j + 1], g[i + 1][j]
         if v is None:
@@ -224,7 +231,7 @@ def validate_filling(shape: Shape, rows: list[list[int | None]]) -> list[str]:
             violations.append(f"row not increasing: cell ({i},{j})={v} vs ({i},{j + 1})={right}")
         if above is not None and v >= above:
             violations.append(f"column not increasing: cell ({i},{j})={v} vs ({i + 1},{j})={above}")
-    return violations
+    return violations, pos
 
 
 def make_tableau(shape: Shape, rows: list[list[int | None]]) -> Tableau:

@@ -138,7 +138,9 @@ def test_map_runs_one_cascade(direction, capsys, monkeypatch):
     assert calls == ["__init__", step, step]
 
 
-def test_internal_error_exits_3(capsys, monkeypatch):
+@pytest.fixture
+def bad_cycle(monkeypatch):
+    """A `_Grid.cycle` that writes a wrong content into the first cell it moves."""
     from tabinv.inversion import _Grid
 
     cycle = _Grid.cycle
@@ -150,7 +152,18 @@ def test_internal_error_exits_3(capsys, monkeypatch):
             self.g[i][j] += 1
 
     monkeypatch.setattr(_Grid, "cycle", bad_cycle)
+
+
+def test_internal_error_exits_3(capsys, bad_cycle):
     assert main(["map", "--input", str(FIXTURES / "straight_2x2.txt")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: psi_")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_internal_error_in_enumerate_exits_3(capsys, bad_cycle):
+    assert main(["enumerate", "--shape", "3,2", "--stat", "inv,cinv", "--check"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: psi_")

@@ -197,6 +197,40 @@ class TestDistribution:
         names = list(REPORT_VALUES)
         assert statistic_values(s, names, workers=2) == statistic_values(s, names)
 
+    @pytest.mark.parametrize(
+        "text,workers,cpus,started",
+        [("3,2", 100_000, 2, 2), ("3,2", 100_000, 64, 5), ("4,3,1", 3, 64, 3), ("4,3,1", 100_000, 1, None)],
+    )
+    def test_worker_count_is_bounded(self, text, workers, cpus, started, monkeypatch):
+        # An in-process pool records max_workers; no process is started.
+        pools, asked = [], []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        prefixes = enumeration._prefixes
+
+        def recording_prefixes(s, count):
+            asked.append(count)
+            return prefixes(s, count)
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(enumeration, "_prefixes", recording_prefixes)
+        monkeypatch.setattr(enumeration, "_available_cpus", lambda: cpus)
+        s, names = parse_shape(text), list(REPORT_VALUES)
+        assert statistic_values(s, names, workers) == statistic_values(s, names)
+        assert pools == ([] if started is None else [started])
+        assert asked == ([] if started is None else [8 * min(workers, cpus)])
+
     def test_parallel_values_of_the_empty_shape(self):
         names = ["maj", "comaj", "inv", "cinv"]
         serial = statistic_values(Shape(()), names)

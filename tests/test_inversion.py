@@ -1,6 +1,7 @@
 """Lattice paths, side classification, cycling maps, and the inversion
 statistic, including its north-east (comaj) counterpart."""
 
+import itertools
 import random
 
 import pytest
@@ -318,19 +319,44 @@ class TestNeFunctions:
         "fn", [cinv_statistic, comaj_map, ne_inversion_path_set, lambda t: ne_inversion_path(t, 2)]
     )
     def test_input_is_validated_once(self, fn, monkeypatch):
+        # `validate_filling` and `_Grid` both check a filling through
+        # `_checked_positions`, so counting it counts every validation.
         calls = []
-        validate = model.validate_filling
+        validate = model._checked_positions
 
         def counting(*args):
             calls.append(args)
             return validate(*args)
 
-        monkeypatch.setattr(model, "validate_filling", counting)
-        monkeypatch.setattr(inversion, "validate_filling", counting)
+        monkeypatch.setattr(model, "_checked_positions", counting)
+        monkeypatch.setattr(inversion, "_checked_positions", counting)
         for t in (SKEW1, make_tableau(parse_shape("3,3/1,1"), [[None, 1, 3], [None, 2, 4]])):
             calls.clear()
             fn(t)
             assert len(calls) == 1
+
+
+class TestCountingCascade:
+    """The statistic counted from the cascade's paths against the pair
+    sets, and grids filled turned against grids turned after filling."""
+
+    def test_count_equals_the_number_of_pairs(self):
+        # TestNeFunctions compares cinv with the NE pairs on _ne_tableaux().
+        for t in _ne_tableaux():
+            assert inv_statistic(t) == len(inversion_pairs(t))
+        for t in itertools.chain(
+            TestRandomLarge.tableaux(80, range(25, 81)), TestRandomLarge.tableaux(200, range(100, 201, 10))
+        ):
+            assert inv_statistic(t) == len(inversion_pairs(t))
+            assert cinv_statistic(t) == len(ne_inversion_path_set(t).pairs)
+
+    def test_turned_fill_equals_turning_the_filled_grid(self):
+        for t in _ne_tableaux(6):
+            turned = _Grid.of_positions(t.shape, t.positions(), turned=True)
+            grid = _Grid.of_positions(t.shape, t.positions())
+            grid.turn()
+            assert vars(turned) == vars(grid)
+            assert vars(_Grid(t, turned=True)) == vars(grid)
 
 
 class TestUnnormalizedShapes:
