@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .inversion import phi
-from .model import Shape, Tableau, make_tableau
+from .model import Shape, Tableau, _decimal, make_tableau
 
 Permutation = tuple[int, ...]
 
@@ -20,12 +20,12 @@ def check_permutation(values: tuple[int, ...]) -> Permutation:
 def parse_permutation(text: str) -> Permutation:
     """Digit string for n <= 9 ("4137562") or comma-separated one-line form."""
     text = text.strip()
-    if "," in text:
-        values = tuple(int(tok) for tok in text.split(","))
-    else:
-        if not text.isdigit():
-            raise ValueError(f"cannot parse permutation {text!r}")
-        values = tuple(int(ch) for ch in text)
+    try:
+        values = tuple(map(_decimal, text.split(",") if "," in text else text))
+    except ValueError:
+        values = ()
+    if not values:
+        raise ValueError(f"cannot parse permutation {text!r}")
     return check_permutation(values)
 
 

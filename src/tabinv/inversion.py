@@ -4,9 +4,9 @@ The forward map cycles contents inside blocks determined by a monotone
 South-West lattice path; the composite over all pivots sends the inversion
 statistic to the major index.  A North-East variant plays the same role for
 the co-major index; it is the South-West machinery run on a grid turned by
-180 degrees with its contents complemented.  Such a grid is filled straight
-from the rotated cells and complemented contents, with the turned shape
-computed once per shape; `_Grid.turn` only turns a grid back.
+180 degrees with its contents complemented.  One turn of the cell of each
+content (`_turned`) fills such a grid, with the turned shape computed once
+per shape, and carries an NE result back to the input's shape.
 
 Every map runs on one mutable `_Grid`: a zero-padded array of contents plus
 the cell of each content.  A path is kept as the height at which it crosses
@@ -70,9 +70,6 @@ class BlockPartition:
     k: int
     anchor_side: str
     blocks: tuple[tuple[Cell, ...], ...]
-
-    def content_blocks(self, t: Tableau) -> list[list[int]]:
-        return [[t.content(c) for c in block] for block in self.blocks]
 
 
 def classify_side(path: LatticePath, cell: Cell) -> str:
@@ -142,9 +139,17 @@ def _intervals(starts: list[int], k: int) -> Iterator[tuple[int, int]]:
     return zip(starts, starts[1:] + [k])
 
 
+def _turned(shape: Shape, pos: list[Cell]) -> list[Cell]:
+    """The cells pos (pos[c] the cell of c) of a filling turned 180 degrees
+    in the box of shape and complemented, as `model.rotate_complement` does:
+    n+1-c takes the turned cell of c.  Turning twice in one box restores pos."""
+    rows, cols = shape.n_rows + 1, shape.width + 1
+    return [(0, 0)] + [(rows - i, cols - j) for i, j in reversed(pos[1:])]
+
+
 @lru_cache(maxsize=64)
 def _turned_shape(shape: Shape) -> Shape:
-    """The shape of a grid of `shape` once turned (`_Grid.turn`), computed
+    """The shape of a grid of `shape` once turned (`_turned`), computed
     once per shape rather than once per grid."""
     return _rotated_shape(shape, shape.n_rows, shape.width)
 
@@ -178,14 +183,12 @@ class _Grid:
         return grid
 
     def _fill(self, shape: Shape, pos: list[Cell], turned: bool) -> None:
-        """Fill from pos, which the grid takes over and mutates.  Turned,
-        fill straight from the rotated cells and complemented contents, as
-        `turn` would leave the grid."""
+        """Fill from pos, which the grid takes over and mutates; turned,
+        from `_turned(shape, pos)`, in the bounding box of shape."""
         rows, cols = shape.n_rows, shape.width
         absent = 0
         if turned:
-            pos = [(0, 0)] + [(rows + 1 - i, cols + 1 - j) for i, j in reversed(pos[1:])]
-            shape, absent = _turned_shape(shape), len(pos)
+            pos, shape, absent = _turned(shape, pos), _turned_shape(shape), len(pos)
         self.shape, self.width, self.pos, self.absent = shape, cols, pos, absent
         self.g = g = [[0] * (cols + 2) for _ in range(rows + 2)]
         for c in range(1, len(pos)):
@@ -199,21 +202,6 @@ class _Grid:
             for i in range(1, s.n_rows + 1)
         )
         return Tableau(s, tuple(rows))
-
-    def turn(self) -> None:
-        """Rotate the grid 180 degrees inside the bounding box of the shape
-        it was built from and complement its contents (c -> n+1-c), as
-        `model.rotate_complement` does.  The box stays, so turning twice
-        restores the grid, its shape and `absent`.  A grid is built turned
-        by `_fill`; this turns it back."""
-        g, m = self.g, len(self.pos)
-        g.reverse()  # the zero border rows swap with each other
-        for i, row in enumerate(g):
-            g[i] = [v and m - v for v in reversed(row)]
-        rows, cols = len(g) - 2, self.width
-        self.shape = _rotated_shape(self.shape, rows, cols)
-        self.pos = [(0, 0)] + [(rows + 1 - i, cols + 1 - j) for i, j in reversed(self.pos[1:])]
-        self.absent = m - self.absent
 
     def heights(self, k: int) -> list[int]:
         """Column heights of the SW path from the lower-left corner of the
@@ -393,10 +381,15 @@ def forward_blocks(t: Tableau, k: int, path: LatticePath) -> BlockPartition:
     the current block.
     """
     _check_pivot(t, k)
-    pos = t.positions()
+    return _sw_blocks(_Grid(t), k, path)
+
+
+def _sw_blocks(grid: _Grid, k: int, path: LatticePath) -> BlockPartition:
+    """`forward_blocks` on the contents of a grid, validated when it was built."""
+    pos = grid.pos
     if path.start != (pos[k][1] - 1, pos[k][0] - 1):
         raise AlgorithmError(f"path {path} does not start at the cell of {k}")
-    h = _path_heights(path, t.shape.width)
+    h = _path_heights(path, grid.width)
     i, j = pos[1]
     blocks = tuple(tuple(pos[a:b]) for a, b in _intervals(_blocks(pos, h, k)[0], k))
     return BlockPartition(k, BELOW if i <= h[j] else ABOVE, blocks)
@@ -414,8 +407,8 @@ def _cycled(t: Tableau, step, pivots, turned: bool = False) -> Tableau:
     grid = _Grid(t, turned)
     for k in pivots:
         step(grid, k)
-    if turned:
-        grid.turn()
+    if turned:  # back into t's own shape
+        grid = _Grid.of_positions(t.shape, _turned(t.shape, grid.pos))
     return grid.tableau()
 
 
@@ -588,13 +581,14 @@ def inv_code(t: Tableau) -> list[int]:
 # Rotating by 180 degrees inside the bounding box and complementing contents
 # turns NE paths into SW paths, the side NW of a path into the side SE of it
 # and "scan down from n" into "scan up from 1", so each NE object is the SW
-# one of the turned grid (`_Grid.turn`), rotated back.
+# one of the turned grid (`_turned`), rotated back.
 
 _ROTATED_STEPS = str.maketrans("WSEN", "ENWS")
 
 
-def _rotate_cell(shape: Shape, cell: Cell) -> Cell:
-    return shape.n_rows + 1 - cell[0], shape.width + 1 - cell[1]
+def _turned_back(shape: Shape, pos: list[Cell]) -> dict[Cell, Cell]:
+    """Each cell of a grid turned in the box of shape, with cells pos, to the cell it came from."""
+    return dict(zip(pos[1:], _turned(shape, pos)[:0:-1]))
 
 
 def _rotate_path(shape: Shape, path: LatticePath) -> LatticePath:
@@ -620,26 +614,30 @@ def ne_inversion_path(t: Tableau, k: int) -> LatticePath:
 
 def ne_blocks(t: Tableau, k: int, path: LatticePath) -> BlockPartition:
     """Blocks for the NE variant: contents above k scanned downward, anchored
-    on the side holding the cell of n."""
+    on the side holding the cell of n: the SW blocks of the turned grid,
+    with their cells turned back, on the other side of the path."""
     _check_pivot(t, k)
-    bp = forward_blocks(_Grid(t, turned=True).tableau(), t.n + 1 - k, _rotate_path(t.shape, path))
-    blocks = tuple(tuple(_rotate_cell(t.shape, c) for c in block) for block in bp.blocks)
+    grid = _Grid(t, turned=True)
+    bp = _sw_blocks(grid, t.n + 1 - k, _rotate_path(t.shape, path))
+    back = _turned_back(t.shape, grid.pos)
+    blocks = tuple(tuple(map(back.get, block)) for block in bp.blocks)
     return BlockPartition(k, ABOVE if bp.anchor_side == BELOW else BELOW, blocks)
 
 
 def comaj_map(t: Tableau) -> Tableau:
     """Composite NE-variant map, pivots 1 up to n-2; fixes the cell of 1.
 
-    psi run on the turned grid, which turns back into t's own shape."""
+    psi run on the turned grid, whose cells turn back into t's own shape."""
     return _cycled(t, _Grid.psi_step, range(t.n, 2, -1), turned=True)
 
 
 def ne_inversion_path_set(t: Tableau) -> InversionPathSet:
     paths, start = _inversions(_Grid(t, turned=True))
+    back = _turned_back(t.shape, start[1])
     return InversionPathSet(
-        {_rotate_cell(t.shape, cell): _rotate_path(t.shape, _lattice_path(cell, h)) for cell, h in paths[:-1]},
-        _rotate_cell(t.shape, paths[-1][0]),
-        {(_rotate_cell(t.shape, a), _rotate_cell(t.shape, b)) for a, b in _pairs(paths, start)},
+        {back[cell]: _rotate_path(t.shape, _lattice_path(cell, h)) for cell, h in paths[:-1]},
+        back[paths[-1][0]],
+        {(back[a], back[b]) for a, b in _pairs(paths, start)},
     )
 
 

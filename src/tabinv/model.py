@@ -26,7 +26,7 @@ class TableauError(ValueError):
 
 def _check_parts(parts: tuple[int, ...], what: str) -> None:
     for p in parts:
-        if not isinstance(p, int) or p <= 0:
+        if not isinstance(p, int) or isinstance(p, bool) or p <= 0:
             raise ShapeError(f"{what} parts must be positive integers, got {parts}")
     for a, b in zip(parts, parts[1:]):
         if a < b:
@@ -111,6 +111,17 @@ def corner_cells(s: Shape) -> set[Cell]:
     }
 
 
+def _decimal(token: str) -> int:
+    """token, stripped of surrounding whitespace, as a number written in the
+    ASCII digits 0-9 alone: no sign, underscore or other script's digits.
+    Raises ValueError otherwise.  Every parser of user text reads its
+    numbers through this one rule."""
+    token = token.strip()
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"not a decimal number: {token!r}")
+    return int(token)
+
+
 def parse_shape(text: str) -> Shape:
     """Parse "4,3,1" or "6,5,4/3,1" into a Shape."""
 
@@ -119,7 +130,7 @@ def parse_shape(text: str) -> Shape:
         if not chunk:
             return ()
         try:
-            return tuple(int(tok) for tok in chunk.split(","))
+            return tuple(_decimal(tok) for tok in chunk.split(","))
         except ValueError:
             raise ShapeError(f"non-numeric token in shape {text!r}") from None
 
@@ -333,7 +344,7 @@ def parse_tableau_text(text: str) -> Tableau:
                 row.append(None)
             else:
                 try:
-                    row.append(int(tok))
+                    row.append(_decimal(tok))
                 except ValueError:
                     raise TableauError([f"bad token {tok!r} in tableau row"]) from None
         raw.append(row)
@@ -347,6 +358,8 @@ def parse_tableau_text(text: str) -> Tableau:
                 raise TableauError([f"interior '.' placeholder in row {i}"])
             outer.append(len(row))
             inner.append(dots)
+        if any(a < b for a, b in zip(inner, inner[1:])):
+            raise TableauError([f"the '.' placeholders do not form a partition: {tuple(inner)} by row from the bottom"])
         while inner and inner[-1] == 0:
             inner.pop()
         try:
@@ -362,6 +375,8 @@ def parse_tableau_text(text: str) -> Tableau:
             for j, v in enumerate(row, start=1):
                 if (v is None) != (j <= declared.inner_at(i)):
                     raise TableauError([f"placeholder/shape mismatch at cell ({i},{j})"])
+    if declared.size == 0:
+        raise TableauError(["tableau has no cells"])
     return make_tableau(declared, raw)
 
 
@@ -374,8 +389,18 @@ def tableau_to_json_dict(t: Tableau) -> dict:
 
 
 def tableau_from_json_dict(d: dict) -> Tableau:
-    shape = Shape(tuple(d["shape"]), tuple(d.get("inner", ())))
-    return make_tableau(shape, [list(row) for row in d["rows"]])
+    """The inverse of `tableau_to_json_dict`; a malformed dict raises
+    ShapeError or TableauError."""
+    if not isinstance(d, dict) or not {"shape", "rows"} <= d.keys():
+        raise TableauError([f"a tableau is a dict with 'shape' and 'rows', got {d!r}"])
+    try:
+        shape = Shape(tuple(d["shape"]), tuple(d.get("inner", ())))
+    except TypeError:
+        raise ShapeError(f"shape and inner must be lists of parts, got {d!r}") from None
+    rows = d["rows"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise TableauError([f"rows must be a list of lists, got {rows!r}"])
+    return make_tableau(shape, rows)
 
 
 def render(t: Tableau) -> str:

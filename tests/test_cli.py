@@ -1,13 +1,20 @@
 """Command-line interface behavior and byte-stable golden outputs."""
 
+import io
 import json
+import random
 import re
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import random_syt
 from conftest import CLI_CASES, FIXTURES, GOLDEN, run_cli_case
 from tabinv.cli import main
-from tabinv.model import parse_shape, parse_tableau_text, tableau_to_json_dict
+from tabinv.model import parse_shape, parse_tableau_text, tableau_to_json_dict, tableau_to_text
 
 
 @pytest.mark.parametrize("golden_name,argv", CLI_CASES, ids=[c[0] for c in CLI_CASES])
@@ -70,6 +77,77 @@ def test_missing_file_is_a_user_error(capsys):
 def test_unknown_statistic_is_a_user_error(capsys):
     assert main(["enumerate", "--shape", "2,1", "--stat", "charge"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,stdin",
+    [
+        (["render", "--input", "-"], "\u0661 \u0662\n"),
+        (["render", "--input", "-"], "+1 2\n"),
+        (["render", "--input", "-"], "1_0 2\n"),
+        (["render", "--input", "-"], "1 2 3\n4 5\n. 6\n"),
+        (["stats", "--input", "-"], ".\n.\n"),
+        (["enumerate", "--shape", "+3,\u0662"], ""),
+        (["foata", "--perm", "\u0662\u0661\u0663"], ""),
+    ],
+)
+def test_numbers_not_in_ascii_decimal_are_bad_input(argv, stdin, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# Tokens that tableau text is made of, and near misses of them.
+_TOKENS = ["1", "2", "3", "7", "10", "0", "-1", "+1", "1_0", "\u0661", "\u00b2", ".", ".."]
+_TOKENS += ["x", "shape:", "3,2", "2,2/1", "/", ","]
+
+
+@st.composite
+def _tableau_text(draw):
+    """The text of a random SYT of up to 8 cells, with or without its shape
+    line, with up to three tokens replaced, inserted or deleted."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    t = random_syt.skew_syt(rng, draw(st.integers(1, 8)), draw(st.integers(0, 3)))
+    rows = [line.split() for line in tableau_to_text(t).splitlines()[draw(st.integers(0, 1)) :]]
+    for _ in range(draw(st.integers(0, 3))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        at = draw(st.integers(0, len(row)))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "insert" or at == len(row):
+            row.insert(at, draw(st.sampled_from(_TOKENS)))
+        elif edit == "replace":
+            row[at] = draw(st.sampled_from(_TOKENS))
+        else:
+            del row[at]
+    return "\n".join(" ".join(row) for row in rows) + "\n"
+
+
+_TEXT = st.one_of(
+    _tableau_text(),
+    st.lists(st.lists(st.sampled_from(_TOKENS), max_size=4).map(" ".join), max_size=4).map("\n".join),
+    st.text(max_size=30),
+)
+_COMMANDS = [["stats"], ["stats", "--paths", "--pairs"], ["map", "--trace"], ["map", "--direction", "inverse"]]
+_COMMANDS += [["render"]]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(text=_TEXT, command=st.sampled_from(_COMMANDS), fmt=st.sampled_from(["text", "json"]))
+@example(text=".\n.\n", command=["stats"], fmt="text")  # a tableau with no cells
+def test_any_text_input_exits_0_or_1_with_one_error_line(text, command, fmt):
+    """Text input to stats, map and render succeeds or is bad input, told
+    on one line: no exception leaves main, and nothing exits 2 or 3."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
+        code = main([command[0], "--input", "-", *command[1:], "--format", fmt])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 1, (code, err.getvalue())
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_foata_inverse_round_trip(capsys):

@@ -32,7 +32,8 @@ class TestParsing:
         assert "," in format_permutation(tuple([10] + list(range(1, 10))))
 
     def test_rejects_non_permutations(self):
-        for text in ("1124", "130", "", "1,2,4"):
+        # The last six are not ASCII decimal.
+        for text in ("1124", "130", "", "1,2,4", "\u0662\u0661\u0663", "+1,2", "2,1_0,1", "21\u00b3", "1,,2", "-1"):
             with pytest.raises(ValueError):
                 parse_permutation(text)
 

@@ -116,12 +116,12 @@ class TestBlocksAndPsi:
         t = tableau_from_rows([[1, 2], [3]])
         p = inversion_path(t, 3)
         bp = forward_blocks(t, 3, p)
-        assert bp.content_blocks(t) == [[1], [2]]
+        assert [[t.content(c) for c in block] for block in bp.blocks] == [[1], [2]]
 
     def test_blocks_for_2x2(self):
         p = inversion_path(T22B, 4)
         bp = forward_blocks(T22B, 4, p)
-        assert bp.content_blocks(T22B) == [[1], [2, 3]]
+        assert [[T22B.content(c) for c in block] for block in bp.blocks] == [[1], [2, 3]]
         assert bp.anchor_side == ABOVE
 
     @pytest.mark.parametrize(
@@ -136,6 +136,20 @@ class TestBlocksAndPsi:
     def test_blocks_reject_a_pivot_outside_1_to_n(self, blocks, k, path):
         with pytest.raises(ValueError, match=f"pivot {k} outside 1..4"):
             blocks(T22, k, path)
+
+    @pytest.mark.parametrize("blocks,path", [(forward_blocks, inversion_path), (ne_blocks, ne_inversion_path)])
+    def test_blocks_validate_through_the_grid_and_build_no_tableau(self, blocks, path, monkeypatch):
+        with pytest.raises(TableauError):
+            blocks(Tableau(T22.shape, ((2, 1), (3, 4))), 3, path(T22, 3))
+
+        def built(*args):
+            raise AssertionError("a Tableau was built or read")
+
+        pivots = [(t, k, path(t, k)) for t in (T22, SKEW2) for k in range(1, t.n + 1)]
+        expected = [blocks(*pivot) for pivot in pivots]
+        monkeypatch.setattr(_Grid, "tableau", built)
+        monkeypatch.setattr(Tableau, "positions", built)
+        assert [blocks(*pivot) for pivot in pivots] == expected
 
     def test_psi_k_cycles_blocks(self):
         assert psi_k(T22B, 4) == T22
@@ -311,9 +325,9 @@ class TestNeFunctions:
                 grid = _Grid(t, turned=True)
                 assert grid.tableau() == rotate_complement(t)
                 assert grid.pos == rotate_complement(t).positions()
-                grid.turn()
-                assert grid.tableau() == t
-                assert grid.pos == t.positions()
+                back = inversion._turned(t.shape, grid.pos)  # turned twice
+                assert back == t.positions()
+                assert _Grid.of_positions(t.shape, back).tableau() == t
 
     @pytest.mark.parametrize(
         "fn", [cinv_statistic, comaj_map, ne_inversion_path_set, lambda t: ne_inversion_path(t, 2)]
@@ -354,9 +368,11 @@ class TestCountingCascade:
         for t in _ne_tableaux(6):
             turned = _Grid.of_positions(t.shape, t.positions(), turned=True)
             grid = _Grid.of_positions(t.shape, t.positions())
-            grid.turn()
-            assert vars(turned) == vars(grid)
-            assert vars(_Grid(t, turned=True)) == vars(grid)
+            m = t.n + 1  # the array turned in its box, contents complemented
+            assert turned.g == [[v and m - v for v in reversed(row)] for row in reversed(grid.g)]
+            assert turned.pos == rotate_complement(t).positions()
+            assert (turned.shape, turned.width, turned.absent) == (rotate_complement(t).shape, grid.width, m)
+            assert vars(_Grid(t, turned=True)) == vars(turned)
 
 
 class TestUnnormalizedShapes:

@@ -44,9 +44,14 @@ class TestShape:
         assert (1, 2) in s
 
     def test_invalid_shapes_rejected(self):
-        for text in ["2,3", "2,2/3", "3,1/1,2", "0", "-1,2", "3,2/2,2,1"]:
+        bad = ["2,3", "2,2/3", "3,1/1,2", "0", "-1,2", "3,2/2,2,1"]
+        # Parts are ASCII decimal: no sign, underscore or other digits.
+        for text in bad + ["+3,2", "3,\u0662", "1_0", "3,2/+1", "3,\u00b2"]:
             with pytest.raises(ShapeError):
                 parse_shape(text)
+
+    def test_whitespace_around_shape_parts_is_allowed(self):
+        assert parse_shape(" 3, 2 / 1") == Shape((3, 2), (1,))
 
     def test_corner_cells(self):
         assert corner_cells(parse_shape("3,2")) == {(1, 3), (2, 2)}
@@ -144,6 +149,38 @@ class TestSerialization:
     def test_placeholder_mismatch_rejected(self):
         with pytest.raises(TableauError):
             parse_tableau_text("shape: 2,2\n. 1\n2 3\n")
+
+    @pytest.mark.parametrize("text", ["\u0661 \u0662", "+1 2", "1_0 2", "1 \u00b2", "-1 2"])
+    def test_text_contents_are_ascii_decimal(self, text):
+        with pytest.raises(TableauError, match="bad token"):
+            parse_tableau_text(text)
+
+    def test_text_with_no_cells_is_rejected(self):
+        with pytest.raises(TableauError, match="tableau has no cells"):
+            parse_tableau_text(". .\n.\n")
+
+    def test_placeholders_that_are_not_a_partition(self):
+        with pytest.raises(TableauError, match=r"^the '\.' placeholders do not form a partition: \(0, 0, 1\)"):
+            parse_tableau_text("1 2 3\n4 5\n. 6\n")
+
+    @pytest.mark.parametrize(
+        "d,error",
+        [
+            ({}, TableauError),
+            ([], TableauError),
+            ({"shape": [2]}, TableauError),
+            ({"shape": [2], "rows": 5}, TableauError),
+            ({"shape": [2], "rows": [5, 6]}, TableauError),
+            ({"shape": [2], "rows": [[1, 2], [3]]}, TableauError),
+            ({"shape": None, "rows": [[1, 2]]}, ShapeError),
+            ({"shape": [2], "inner": 1, "rows": [[1, 2]]}, ShapeError),
+            ({"shape": ["2"], "rows": [[1, 2]]}, ShapeError),
+            ({"shape": [True], "rows": [[1]]}, ShapeError),
+        ],
+    )
+    def test_malformed_json_dict(self, d, error):
+        with pytest.raises(error):
+            tableau_from_json_dict(d)
 
     def test_json_round_trip(self):
         t = make_tableau(parse_shape("3,3/1"), [[None, 1, 3], [2, 4, 5]])
