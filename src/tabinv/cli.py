@@ -10,7 +10,6 @@ the dict `--format json` prints, and renders its text lines from it.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .enumeration import (
@@ -68,7 +67,12 @@ def _verdict(ok: bool) -> str:
 
 def _emit(args, record: dict, lines: list[str]) -> None:
     """Print the record as JSON, or else the text lines rendered from it."""
-    print(json.dumps(record, indent=2) if args.format == "json" else "\n".join(lines))
+    if args.format == "json":
+        import json  # here, not at the top: a text-mode run never pays its import
+
+        print(json.dumps(record, indent=2))
+    else:
+        print("\n".join(lines))
 
 
 def cmd_stats(args) -> int:

@@ -5,9 +5,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator
 
 from .inversion import AlgorithmError, _count, _Grid
@@ -133,22 +131,36 @@ def enumerate_syt(s: Shape) -> Iterator[Tableau]:
         yield Tableau(s, tuple(map(tuple, rows)))
 
 
-@lru_cache(maxsize=None)
-def _count_syt_cached(outer: tuple[int, ...], inner: tuple[int, ...]) -> int:
-    s = Shape(outer, inner)
-    if s.size == 0:
-        return 1
-    total = 0
-    for corner in corner_cells(s):
-        sub = normalize_shape(s.remove_cell(corner))
-        total += _count_syt_cached(sub.outer, sub.inner)
-    return total
+# The number of SYT of each normalized shape counted so far, by (outer, inner).
+_syt_counts: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
 
 
 def count_syt(s: Shape) -> int:
-    """Number of SYT of s, via the memoized corner-removal recurrence."""
+    """Number of SYT of s, via the memoized corner-removal recurrence: the
+    cell holding n is a corner, so the count is the sum of the counts of
+    the shapes left by removing each corner (1 for the empty shape).  The
+    recurrence is walked with an explicit stack, so shapes of any size stay
+    within the interpreter's recursion limit."""
     norm = normalize_shape(s)
-    return _count_syt_cached(norm.outer, norm.inner)
+    root = (norm.outer, norm.inner)
+    # (shape, None) asks for a shape's count; (shape, subshapes) sums them
+    # once the subshapes pushed after it are counted.
+    stack: list[tuple[tuple, list | None]] = [(root, None)]
+    while stack:
+        key, subs = stack.pop()
+        if key in _syt_counts:
+            continue
+        if subs is None:
+            shape = Shape(*key)
+            subs = [
+                (sub.outer, sub.inner)
+                for sub in (normalize_shape(shape.remove_cell(c)) for c in corner_cells(shape))
+            ]
+            stack.append((key, subs))
+            stack.extend((sub, None) for sub in subs if sub not in _syt_counts)
+        else:
+            _syt_counts[key] = sum(_syt_counts[sub] for sub in subs) if subs else 1
+    return _syt_counts[root]
 
 
 def brute_force_count(s: Shape) -> int:
@@ -270,6 +282,10 @@ def statistic_values(s: Shape, names: list[str], workers: int = 1) -> dict[str, 
     workers = min(workers, _available_cpus())
     if workers <= 1:
         return _prefix_values(s, (), names)
+    # Imported here, not at the top: the pool pulls in multiprocessing, which
+    # costs start-up time that a serial run never needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     prefixes = _prefixes(s, 8 * workers)
     with ProcessPoolExecutor(max_workers=min(workers, len(prefixes))) as pool:
         chunks = list(pool.map(_prefix_values, [s] * len(prefixes), prefixes, [names] * len(prefixes)))

@@ -1,10 +1,14 @@
 """Command-line interface behavior and byte-stable golden outputs."""
 
+import ast
 import io
 import json
 import random
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -12,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import random_syt
+import tabinv
 from conftest import CLI_CASES, FIXTURES, GOLDEN, run_cli_case
 from tabinv.cli import main
 from tabinv.model import parse_shape, parse_tableau_text, tableau_to_json_dict, tableau_to_text
@@ -55,6 +60,66 @@ def test_enumerate_parallel_matches_serial(capsys):
     serial = capsys.readouterr().out
     assert main(["enumerate", "--shape", "3,3", "--par", "2"]) == 0
     assert capsys.readouterr().out == serial
+
+
+# Run in a fresh interpreter: after each step, which of the modules that a
+# cold start should not pay for have been loaded since before the import,
+# plus each command's exit code and the serial and parallel enumerate output.
+COLD_START = """
+import io, sys
+from contextlib import redirect_stdout
+
+sys.path.insert(0, {src!r})
+HEAVY = ("concurrent.futures", "multiprocessing", "json")
+seen = set(sys.modules)
+report = {{}}
+
+def loaded(step):
+    new = set(sys.modules) - seen
+    report[step] = sorted(h for h in HEAVY if any(m == h or m.startswith(h + ".") for m in new))
+
+def run(step, argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    report[step + " exit"] = code
+    loaded(step)
+    return out.getvalue()
+
+import tabinv, tabinv.cli
+from tabinv.cli import main
+from tabinv.enumeration import _available_cpus
+loaded("import")
+report["cpus"] = _available_cpus()
+run("render", ["render", "--input", {skew!r}])
+run("stats", ["stats", "--input", {straight!r}, "--paths", "--pairs"])
+run("map", ["map", "--input", {straight!r}, "--trace"])
+run("foata", ["foata", "--perm", "346251", "--bridge"])
+run("enumerate", ["enumerate", "--shape", "2,2/1", "--check"])
+report["serial out"] = run("serial", ["enumerate", "--shape", "3,2"])
+run("json", ["stats", "--input", {straight!r}, "--format", "json"])
+report["parallel out"] = run("parallel", ["enumerate", "--shape", "3,2", "--par", "2"])
+print(repr(report))
+"""
+
+
+def test_cold_start_loads_no_pool_and_no_json():
+    code = COLD_START.format(
+        src=str(Path(tabinv.__file__).resolve().parent.parent),
+        skew=str(FIXTURES / "skew_22_1.txt"),
+        straight=str(FIXTURES / "straight_2x2.txt"),
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = ast.literal_eval(done.stdout)
+    for step in ("import", "render", "stats", "map", "foata", "enumerate", "serial"):
+        assert report[step] == [], f"{step} loaded {report[step]}"
+    for step in ("render", "stats", "map", "foata", "enumerate", "serial", "json", "parallel"):
+        assert report[step + " exit"] == 0, step
+    assert report["json"] == ["json"]
+    pool = ["concurrent.futures", "multiprocessing"] if report["cpus"] > 1 else []
+    assert report["parallel"] == sorted(["json"] + pool)
+    assert report["parallel out"] == report["serial out"]
 
 
 def test_bad_shape_is_a_user_error(capsys):
@@ -187,6 +252,11 @@ def test_enumerate_without_statistics_does_not_enumerate(capsys, monkeypatch):
             assert capsys.readouterr().out == "shape=3,2 count=5\n"
             assert main(["enumerate", "--shape", "3,2", "--stat", stat, "--par", par, "--format", "json"]) == 0
             assert json.loads(capsys.readouterr().out) == {"shape": "3,2", "count": 5, "distributions": []}
+
+
+def test_enumerate_counts_a_shape_past_the_recursion_limit(capsys):
+    assert main(["enumerate", "--shape", "520", "--stat", ""]) == 0
+    assert capsys.readouterr().out == "shape=520 count=1\n"
 
 
 @pytest.mark.parametrize("par", ["0", "-1"])

@@ -1,6 +1,8 @@
 """Exhaustive generation, counting oracles, distribution polynomials, and
 equidistribution reports."""
 
+import concurrent.futures
+
 import pytest
 
 import tabinv.enumeration as enumeration
@@ -58,6 +60,13 @@ class TestCounting:
         s = parse_shape(shape_text)
         assert count_syt(s) == expected
         assert sum(1 for _ in enumerate_syt(s)) == expected
+
+    @pytest.mark.parametrize("shape_text,expected", [("520", 1), ("519,1", 519)])
+    def test_counts_past_the_recursion_limit(self, shape_text, expected):
+        # One corner removal per cell makes the recurrence 520 levels deep,
+        # which a recursive walk cannot take under the default recursion
+        # limit (1000): it raised RecursionError from about 500 cells.
+        assert count_syt(parse_shape(shape_text)) == expected
 
     def test_counts_sum_to_involution_numbers(self):
         for n in range(1, 8):
@@ -178,7 +187,7 @@ class TestDistribution:
             raise AssertionError("enumerated")
 
         monkeypatch.setattr(enumeration, "_fillings", no_pass)
-        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", no_pass)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pass)
         expected = (
             r"^unknown statistic 'charge'; choose from \['cinv', 'comaj', 'inv', 'maj'\]"
             r" or the pins \['cell_1', 'cell_n'\]$"
@@ -223,7 +232,7 @@ class TestDistribution:
             asked.append(count)
             return prefixes(s, count)
 
-        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(enumeration, "_prefixes", recording_prefixes)
         monkeypatch.setattr(enumeration, "_available_cpus", lambda: cpus)
         s, names = parse_shape(text), list(REPORT_VALUES)
