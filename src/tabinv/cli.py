@@ -39,7 +39,7 @@ from .model import (
     tableau_to_json_dict,
     tableau_to_text,
 )
-from .stats import comaj, descent_set, maj
+from .stats import comaj_of, descents, maj, maj_of
 
 
 def _read_input(path: str) -> str:
@@ -77,6 +77,7 @@ def _emit(args, record: dict, lines: list[str]) -> None:
 
 def cmd_stats(args) -> int:
     t = _load_tableau(args.input)
+    pos = t.positions()
     ips = inversion_path_set(t)
     pairs = sorted((t.content(big), t.content(small)) for big, small in ips.pairs)
     code = [0] * t.n
@@ -85,9 +86,9 @@ def cmd_stats(args) -> int:
     out = tableau_to_json_dict(t)
     out["stats"] = {
         "n": t.n,
-        "descents": sorted(descent_set(t)),
-        "maj": maj(t),
-        "comaj": comaj(t),
+        "descents": descents(pos),
+        "maj": maj_of(pos),
+        "comaj": comaj_of(pos),
         "inv": len(pairs),
         "code": code,
     }
@@ -99,7 +100,6 @@ def cmd_stats(args) -> int:
     if args.paths:
         paths = sorted((t.content(cell), p) for cell, p in ips.paths.items())
         out["paths"] = [{"start": list(p.start), "steps": p.steps, "content": c} for c, p in paths]
-        pos = t.positions()
         lines += [
             f"path content={p['content']} cell={_fmt_cell(pos[p['content']])} "
             f"start={_fmt_cell(p['start'])} steps={p['steps'] or '-'}"
@@ -157,7 +157,7 @@ def cmd_enumerate(args) -> int:
     if args.par < 1:
         raise ValueError("--par must be at least 1")
     shape = parse_shape(args.shape)
-    stats = [s.strip() for s in args.stat.split(",") if s.strip()]
+    stats = list(dict.fromkeys(s.strip() for s in args.stat.split(",") if s.strip()))
     _check_statistics(stats)
     names = list(dict.fromkeys(stats + (list(REPORT_VALUES) if args.check else [])))
     values = statistic_values(shape, names, workers=args.par)

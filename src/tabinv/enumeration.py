@@ -6,10 +6,10 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .inversion import AlgorithmError, _count, _Grid
-from .model import Cell, Shape, Tableau, corner_cells, validate_filling
+from .model import Cell, Shape, Tableau, validate_filling
 from .stats import comaj_of, maj_of
 
 # Each statistic of an SYT of shape s from pos, where pos[c] is the cell of
@@ -55,10 +55,19 @@ def _free_region(s: Shape) -> tuple[list[int], list[int]]:
     return inner, list(s.outer) + [0]
 
 
-def _corner_rows(inner: list[int], length: list[int]) -> list[int]:
+def _corner_rows(inner: list[int], length: Sequence[int]) -> list[int]:
     """Rows (0-based, ascending) whose rightmost free cell is an outer corner
     of the free cells: the row has a free cell and the row above is shorter."""
     return [i for i in range(len(inner) - 1) if inner[i] < length[i] > length[i + 1]]
+
+
+def _placements(inner: list[int], lengths: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """Each row the next content may go in, highest first as `_fillings`
+    tries them, with the lengths it leaves: that row one shorter."""
+    return [
+        (i, lengths[:i] + (lengths[i] - 1,) + lengths[i + 1 :])
+        for i in reversed(_corner_rows(inner, lengths))
+    ]
 
 
 def _fillings(s: Shape, prefix: tuple[int, ...] = ()) -> Iterator[tuple[list[list[int | None]], list[Cell]]]:
@@ -131,36 +140,20 @@ def enumerate_syt(s: Shape) -> Iterator[Tableau]:
         yield Tableau(s, tuple(map(tuple, rows)))
 
 
-# The number of SYT of each normalized shape counted so far, by (outer, inner).
-_syt_counts: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-
-
 def count_syt(s: Shape) -> int:
-    """Number of SYT of s, via the memoized corner-removal recurrence: the
-    cell holding n is a corner, so the count is the sum of the counts of
-    the shapes left by removing each corner (1 for the empty shape).  The
-    recurrence is walked with an explicit stack, so shapes of any size stay
-    within the interpreter's recursion limit."""
-    norm = normalize_shape(s)
-    root = (norm.outer, norm.inner)
-    # (shape, None) asks for a shape's count; (shape, subshapes) sums them
-    # once the subshapes pushed after it are counted.
-    stack: list[tuple[tuple, list | None]] = [(root, None)]
-    while stack:
-        key, subs = stack.pop()
-        if key in _syt_counts:
-            continue
-        if subs is None:
-            shape = Shape(*key)
-            subs = [
-                (sub.outer, sub.inner)
-                for sub in (normalize_shape(shape.remove_cell(c)) for c in corner_cells(shape))
-            ]
-            stack.append((key, subs))
-            stack.extend((sub, None) for sub in subs if sub not in _syt_counts)
-        else:
-            _syt_counts[key] = sum(_syt_counts[sub] for sub in subs) if subs else 1
-    return _syt_counts[root]
+    """Number of SYT of s, without enumerating them: contents n, n-1, ..., 1
+    are placed as `_fillings` places them, and each level maps the free
+    region's row lengths to the number of partial fillings that leave it
+    (1 for the empty shape)."""
+    inner, length = _free_region(s)
+    level = {tuple(length): 1}
+    for _ in range(s.size):
+        below: dict[tuple[int, ...], int] = {}
+        for lengths, count in level.items():
+            for _, after in _placements(inner, lengths):
+                below[after] = below.get(after, 0) + count
+        level = below
+    return sum(level.values())
 
 
 def brute_force_count(s: Shape) -> int:
@@ -305,15 +298,11 @@ def _prefixes(s: Shape, count: int) -> list[tuple[int, ...]]:
     `count` of them (or at depth n), in enumeration order, so the fillings
     of each prefix in turn are all fillings in order."""
     inner, length = _free_region(s)
-    level = [((), length)]
+    level = [((), tuple(length))]
     for _ in range(s.size):
         if len(level) >= count:
             break
-        level = [
-            (prefix + (i,), lengths[:i] + [lengths[i] - 1] + lengths[i + 1 :])
-            for prefix, lengths in level
-            for i in reversed(_corner_rows(inner, lengths))
-        ]
+        level = [(prefix + (i,), after) for prefix, lengths in level for i, after in _placements(inner, lengths)]
     return [prefix for prefix, _ in level]
 
 

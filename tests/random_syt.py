@@ -1,9 +1,12 @@
 """Seeded random standard Young tableaux for tests far past exhaustive
-sizes, and Stanley's q-hook-length formula as an enumeration-free oracle."""
+sizes, and Stanley's q-hook-length formula and Aitken's determinant as
+enumeration-free oracles."""
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from math import factorial
 
 from tabinv import Shape, Tableau, make_tableau
 
@@ -91,3 +94,30 @@ def q_hook_maj(parts: tuple[int, ...]) -> tuple[int, ...]:
     while poly[-1] == 0:
         poly.pop()
     return tuple([0] * sum(i * p for i, p in enumerate(parts)) + poly)
+
+
+def aitken_count(outer: tuple[int, ...], inner: tuple[int, ...] = ()) -> int:
+    """Number of SYT of the skew shape outer/inner, n! det[1/(outer_i -
+    inner_j - i + j)!] with 1/m! = 0 for m < 0 (Aitken, 1943), the
+    determinant taken exactly over the rationals."""
+    k = len(outer)
+    inner = tuple(inner) + (0,) * (k - len(inner))
+    m = [
+        [Fraction(1, factorial(d)) if (d := outer[i] - inner[j] - i + j) >= 0 else Fraction(0) for j in range(k)]
+        for i in range(k)
+    ]
+    det = Fraction(factorial(sum(outer) - sum(inner)))
+    for c in range(k):  # Gaussian elimination
+        pivot = next((r for r in range(c, k) if m[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, k):
+            f = m[r][c] / m[c][c]
+            for j in range(c, k):
+                m[r][j] -= f * m[c][j]
+    assert det.denominator == 1, det
+    return int(det)

@@ -254,9 +254,19 @@ def test_enumerate_without_statistics_does_not_enumerate(capsys, monkeypatch):
             assert json.loads(capsys.readouterr().out) == {"shape": "3,2", "count": 5, "distributions": []}
 
 
-def test_enumerate_counts_a_shape_past_the_recursion_limit(capsys):
-    assert main(["enumerate", "--shape", "520", "--stat", ""]) == 0
-    assert capsys.readouterr().out == "shape=520 count=1\n"
+@pytest.mark.parametrize("shape", ["520", "4000"])
+def test_enumerate_counts_a_shape_past_the_recursion_limit(shape, capsys):
+    assert main(["enumerate", "--shape", shape, "--stat", ""]) == 0
+    assert capsys.readouterr().out == f"shape={shape} count=1\n"
+
+
+def test_enumerate_prints_a_repeated_statistic_once(capsys):
+    for fmt in ("text", "json"):
+        assert main(["enumerate", "--shape", "3,2/1", "--stat", "maj", "--format", fmt]) == 0
+        once = capsys.readouterr().out
+        assert main(["enumerate", "--shape", "3,2/1", "--stat", "maj, maj,,maj", "--format", fmt]) == 0
+        assert capsys.readouterr().out == once
+    assert len(json.loads(once)["distributions"]) == 1
 
 
 @pytest.mark.parametrize("par", ["0", "-1"])

@@ -2,9 +2,11 @@
 equidistribution reports."""
 
 import concurrent.futures
+from math import comb
 
 import pytest
 
+import random_syt
 import tabinv.enumeration as enumeration
 from reference_syt import reference_syt
 from tabinv import (
@@ -61,12 +63,27 @@ class TestCounting:
         assert count_syt(s) == expected
         assert sum(1 for _ in enumerate_syt(s)) == expected
 
-    @pytest.mark.parametrize("shape_text,expected", [("520", 1), ("519,1", 519)])
+    @pytest.mark.parametrize(
+        "shape_text,expected",
+        [
+            ("520", 1),
+            ("519,1", 519),
+            ("4000", 1),
+            pytest.param("250,250", comb(500, 250) // 251, id="250,250-catalan"),
+        ],
+    )
     def test_counts_past_the_recursion_limit(self, shape_text, expected):
         # One corner removal per cell makes the recurrence 520 levels deep,
         # which a recursive walk cannot take under the default recursion
         # limit (1000): it raised RecursionError from about 500 cells.
+        # 250,250 has the Catalan number C_250 of SYT.
         assert count_syt(parse_shape(shape_text)) == expected
+
+    def test_counts_equal_aitkens_determinant(self):
+        # An oracle that shares nothing with the enumerator's corner rule.
+        shapes = skew_catalog(10, 5, 5) + [parse_shape(t) for t in ("250,250", "30,30,30,30/10,5", "4000")]
+        for s in shapes:
+            assert count_syt(s) == random_syt.aitken_count(s.outer, s.inner), format_shape(s)
 
     def test_counts_sum_to_involution_numbers(self):
         for n in range(1, 8):
