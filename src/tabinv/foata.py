@@ -57,7 +57,8 @@ def foata(p: Permutation) -> Permutation:
 
     Adding letter x to the word w: split w after each element smaller
     (resp. larger) than x when x beats (resp. loses to) the last letter,
-    rotate each segment's last element to its front, then append x.
+    which is therefore always split after, so the segments cover w; rotate
+    each segment's last element to its front, then append x.
     """
     p = check_permutation(p)
     if len(p) <= 2:
@@ -74,7 +75,6 @@ def foata(p: Permutation) -> Permutation:
             out.append(word[end])
             out.extend(word[start:end])
             start = end + 1
-        out.extend(word[start:])  # only reachable when no bar follows word[-1]
         word = out
         word.append(x)
     return tuple(word)

@@ -5,8 +5,8 @@ South-West lattice path; the composite over all pivots sends the inversion
 statistic to the major index.  A North-East variant plays the same role for
 the co-major index; it is the South-West machinery run on a grid turned by
 180 degrees with its contents complemented.  One turn of the cell of each
-content (`_turned`) fills such a grid, with the turned shape computed once
-per shape, and carries an NE result back to the input's shape.
+content (`_turned`) fills such a grid and carries an NE result back to the
+input's shape; the turned shape is worked out only when asked for.
 
 Every map runs on one mutable `_Grid`: a zero-padded array of contents plus
 the cell of each content.  A path is kept as the height at which it crosses
@@ -34,7 +34,6 @@ validating the whole result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .model import (
@@ -147,13 +146,6 @@ def _turned(shape: Shape, pos: list[Cell]) -> list[Cell]:
     return [(0, 0)] + [(rows - i, cols - j) for i, j in reversed(pos[1:])]
 
 
-@lru_cache(maxsize=64)
-def _turned_shape(shape: Shape) -> Shape:
-    """The shape of a grid of `shape` once turned (`_turned`), computed
-    once per shape rather than once per grid."""
-    return _rotated_shape(shape, shape.n_rows, shape.width)
-
-
 class _Grid:
     """The working copy of a standard tableau that the cycling maps mutate.
 
@@ -188,12 +180,19 @@ class _Grid:
         rows, cols = shape.n_rows, shape.width
         absent = 0
         if turned:
-            pos, shape, absent = _turned(shape, pos), _turned_shape(shape), len(pos)
-        self.shape, self.width, self.pos, self.absent = shape, cols, pos, absent
+            pos, absent = _turned(shape, pos), len(pos)
+        self.filled, self.width, self.pos, self.absent = shape, cols, pos, absent
         self.g = g = [[0] * (cols + 2) for _ in range(rows + 2)]
         for c in range(1, len(pos)):
             i, j = pos[c]
             g[i][j] = c
+
+    @property
+    def shape(self) -> Shape:
+        """The shape the grid was filled in, turned (`_turned`) if the grid is;
+        only `tableau` and a failed `check` ask for it, so a count never turns it."""
+        s = self.filled
+        return _rotated_shape(s, s.n_rows, s.width) if self.absent else s
 
     def tableau(self) -> Tableau:
         s = self.shape

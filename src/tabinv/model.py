@@ -231,7 +231,7 @@ def _checked_positions(shape: Shape, rows: list[list[int | None]]) -> tuple[list
             # passed this one; a non-integer may not compare at all.
             g[i][j] = None
         elif pos[v] is not None:
-            violations.append(f"duplicate content {v} at cells {pos[v]} and ({i},{j})")
+            violations.append(f"duplicate content {v} at cells ({pos[v][0]},{pos[v][1]}) and ({i},{j})")
         else:
             pos[v] = (i, j)
     for (i, j) in cells:
@@ -246,11 +246,14 @@ def _checked_positions(shape: Shape, rows: list[list[int | None]]) -> tuple[list
 
 
 def make_tableau(shape: Shape, rows: list[list[int | None]]) -> Tableau:
-    """Validate a raw filling and wrap it in a Tableau; raises TableauError."""
-    violations = validate_filling(shape, rows)
+    """Wrap a raw filling in a Tableau, whose construction checks it against
+    the shape, then check that it is standard; raises TableauError with the
+    first structural fault, or else with every standardness violation."""
+    t = Tableau(shape, tuple(tuple(r) for r in rows))
+    violations = validate_filling(shape, t.rows)
     if violations:
         raise TableauError(violations)
-    return Tableau(shape, tuple(tuple(r) for r in rows))
+    return t
 
 
 def tableau_from_rows(rows: list[list[int]], inner: tuple[int, ...] = ()) -> Tableau:
@@ -350,12 +353,10 @@ def parse_tableau_text(text: str) -> Tableau:
         raw.append(row)
     if declared is None:
         outer, inner = [], []
-        for i, row in enumerate(raw, start=1):
+        for row in raw:
             dots = 0
             while dots < len(row) and row[dots] is None:
                 dots += 1
-            if any(v is None for v in row[dots:]):
-                raise TableauError([f"interior '.' placeholder in row {i}"])
             outer.append(len(row))
             inner.append(dots)
         if any(a < b for a, b in zip(inner, inner[1:])):
@@ -366,15 +367,6 @@ def parse_tableau_text(text: str) -> Tableau:
             declared = Shape(tuple(outer), tuple(inner))
         except ShapeError as e:
             raise TableauError([str(e)]) from None
-    else:
-        if len(raw) != declared.n_rows:
-            raise TableauError([f"shape declares {declared.n_rows} rows, got {len(raw)}"])
-        for i, row in enumerate(raw, start=1):
-            if len(row) != declared.outer[i - 1]:
-                raise TableauError([f"row {i} has {len(row)} entries, shape expects {declared.outer[i - 1]}"])
-            for j, v in enumerate(row, start=1):
-                if (v is None) != (j <= declared.inner_at(i)):
-                    raise TableauError([f"placeholder/shape mismatch at cell ({i},{j})"])
     if declared.size == 0:
         raise TableauError(["tableau has no cells"])
     return make_tableau(declared, raw)

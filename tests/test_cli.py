@@ -19,7 +19,14 @@ import random_syt
 import tabinv
 from conftest import CLI_CASES, FIXTURES, GOLDEN, run_cli_case
 from tabinv.cli import main
-from tabinv.model import parse_shape, parse_tableau_text, tableau_to_json_dict, tableau_to_text
+from tabinv.model import (
+    TableauError,
+    parse_shape,
+    parse_tableau_text,
+    tableau_from_json_dict,
+    tableau_to_json_dict,
+    tableau_to_text,
+)
 
 
 @pytest.mark.parametrize("golden_name,argv", CLI_CASES, ids=[c[0] for c in CLI_CASES])
@@ -162,6 +169,52 @@ def test_numbers_not_in_ascii_decimal_are_bad_input(argv, stdin, capsys, monkeyp
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "tableau,message",
+    [
+        pytest.param("shape: 2,1\n1 2\n", "expected 2 rows, got 1", id="text-too-few-rows"),
+        pytest.param("shape: 2\n1 2\n3\n", "expected 1 rows, got 2", id="text-too-many-rows"),
+        pytest.param("shape: 2,1\n1\n2\n", "row 1 has 1 entries, expected 2", id="text-row-too-short"),
+        pytest.param("shape: 2,1\n1 2 4\n3\n", "row 1 has 3 entries, expected 2", id="text-row-too-long"),
+        pytest.param("shape: 2,2\n. 1\n2 3\n", "placeholder/shape mismatch at cell (1,1)", id="text-dot-in-cell"),
+        pytest.param("shape: 2,2/1\n1 2\n3 4\n", "placeholder/shape mismatch at cell (1,1)", id="text-inner-content"),
+        pytest.param("1 . 2\n3\n", "placeholder/shape mismatch at cell (1,2)", id="text-interior-dot"),
+        pytest.param({"shape": [2, 1], "rows": [[1, 2]]}, "expected 2 rows, got 1", id="json-too-few-rows"),
+        pytest.param({"shape": [1], "rows": [[1], [2]]}, "expected 1 rows, got 2", id="json-too-many-rows"),
+        pytest.param({"shape": [2], "rows": [[1]]}, "row 1 has 1 entries, expected 2", id="json-row-too-short"),
+        pytest.param({"shape": [2], "rows": [[1, 2, 3]]}, "row 1 has 3 entries, expected 2", id="json-row-too-long"),
+        pytest.param(
+            {"shape": [2, 2], "inner": [1], "rows": [[4, 1], [2, 3]]},
+            "placeholder/shape mismatch at cell (1,1)",
+            id="json-inner-content",
+        ),
+        pytest.param(
+            {"shape": [2, 2], "inner": [1], "rows": [[1], [2, 3]]},
+            "row 1 has 1 entries, expected 2",
+            id="json-cells-only-row",
+        ),
+        pytest.param(
+            {"shape": [2, 2], "inner": [1], "rows": [[None, None], [2, 3]]},
+            "placeholder/shape mismatch at cell (1,2)",
+            id="json-null-in-cell",
+        ),
+    ],
+)
+def test_malformed_tableau_names_its_first_structural_fault(tableau, message, capsys, monkeypatch):
+    """Text and JSON rows that do not fit their shape raise the message of
+    `Tableau`'s own check, and as text input `stats` prints it on one line."""
+    read = parse_tableau_text if isinstance(tableau, str) else tableau_from_json_dict
+    with pytest.raises(TableauError) as caught:
+        read(tableau)
+    assert caught.value.violations == [message]
+    if isinstance(tableau, str):
+        monkeypatch.setattr("sys.stdin", io.StringIO(tableau))
+        assert main(["stats", "--input", "-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 # Tokens that tableau text is made of, and near misses of them.

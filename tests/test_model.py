@@ -90,6 +90,12 @@ class TestTableau:
         assert validate_filling(s, [[1, 2], [4, 3]]) != []
         assert validate_filling(s, [[1, 2], [3, None]]) != []
 
+    def test_duplicate_content_names_both_cells_as_i_j(self):
+        assert validate_filling(parse_shape("2,2"), [[1, 2], [3, 3]]) == [
+            "duplicate content 3 at cells (2,1) and (2,2)",
+            "row not increasing: cell (2,1)=3 vs (2,2)=3",
+        ]
+
     def test_non_integer_content_is_a_violation(self):
         # A string next to an integer must not reach the order comparison.
         with pytest.raises(TableauError, match="content 'a' at cell \\(1,1\\) outside 1..2"):
