@@ -14,13 +14,13 @@ from .stats import comaj_of, maj_of
 
 # Each statistic of an SYT of shape s from pos, where pos[c] is the cell of
 # content c: the values of stats.maj, stats.comaj, inversion.inv_statistic
-# and inversion.cinv_statistic.  The filling is not validated again, so pos
-# must come from `_fillings`, whose placement guard proved it standard.
+# and inversion.cinv_statistic.  The filling is not validated, so pos must
+# come from `_fillings`, whose placement guard proved it standard.
 STATISTICS: dict[str, Callable[[Shape, list[Cell]], int]] = {
     "maj": lambda s, pos: maj_of(pos),
     "comaj": lambda s, pos: comaj_of(pos),
-    "inv": lambda s, pos: _count(_Grid.of_positions(s, pos)),
-    "cinv": lambda s, pos: _count(_Grid.of_positions(s, pos, turned=True)),
+    "inv": lambda s, pos: _count(_Grid(s, pos)),
+    "cinv": lambda s, pos: _count(_Grid(s, pos, turned=True)),
 }
 
 

@@ -22,13 +22,13 @@ records: each path counts the cells below it (`_below`), with no pair
 built; only the callers that return the pairs build them (`_pairs`), from
 the same paths and the same rule.
 
-A grid validates its input tableau in full once, and takes the cell of
-each content from that same check (the enumerator instead fills grids from
-cells its placement guard has already proved standard,
-`_Grid.of_positions`).  After that each pivot step checks only the contents
-it moved (`_Grid.check`): each must stand in its new cell and be in order
-with its four neighbours, which on a standard tableau is equivalent to
-validating the whole result.
+A grid is filled from the cell of each content of a standard filling:
+a Tableau's, which its construction proved standard, or one the
+enumerator's placement guard proved standard.  The grid does not validate
+it again.  Each pivot step checks only the contents it moved
+(`_Grid.check`): each must stand in its new cell and be in order with its
+four neighbours, which on a standard tableau is equivalent to validating
+the whole result.  A failed check is a bug, raised as AlgorithmError.
 """
 
 from __future__ import annotations
@@ -36,15 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .model import (
-    Cell,
-    Shape,
-    Tableau,
-    TableauError,
-    _checked_positions,
-    _rotated_shape,
-    validate_filling,
-)
+from .model import Cell, Shape, Tableau, _rotated_shape, validate_filling
 
 BELOW = "below"  # weakly SE of a path
 ABOVE = "above"  # weakly NW of a path
@@ -151,36 +143,22 @@ class _Grid:
 
     g[i][j] is the content of cell (i, j) and 0 outside the shape, with a
     border of zeros on every side; pos[c] is the cell holding content c.
-    A grid built `turned` starts as the grid of rotate_complement(t).
+    A grid built `turned` starts as the grid of the filling's
+    rotate_complement.
     `absent` is what a path reads outside the shape: 0, or n+1 once turned.
     A pivot step cycles blocks of consecutive contents (`cycle`) and then
     checks the contents it moved (`check`).
     """
 
-    def __init__(self, t: Tableau, turned: bool = False):
-        violations, pos = _checked_positions(t.shape, t.rows)
-        if violations:
-            raise TableauError(violations)
-        self._fill(t.shape, pos, turned)
+    def __init__(self, shape: Shape, pos: list[Cell], turned: bool = False):
+        """The grid of the filling of shape with content c in cell pos[c],
+        turned (`_turned`) in the bounding box of shape if `turned`.
 
-    @classmethod
-    def of_positions(cls, shape: Shape, pos: list[Cell], turned: bool = False) -> "_Grid":
-        """The grid of the filling of shape with content c in cell pos[c].
-
-        The filling is not validated: the caller must already have proved
-        it standard, as the enumerator's placement guard does.  pos is
-        copied, so the caller may go on changing it."""
-        grid = cls.__new__(cls)
-        grid._fill(shape, list(pos), turned)
-        return grid
-
-    def _fill(self, shape: Shape, pos: list[Cell], turned: bool) -> None:
-        """Fill from pos, which the grid takes over and mutates; turned,
-        from `_turned(shape, pos)`, in the bounding box of shape."""
+        The filling is not validated: it must be standard, as a Tableau's
+        positions and the enumerator's guarded ones are.  pos is copied,
+        so the caller may go on changing it."""
         rows, cols = shape.n_rows, shape.width
-        absent = 0
-        if turned:
-            pos, absent = _turned(shape, pos), len(pos)
+        pos, absent = (_turned(shape, pos), len(pos)) if turned else (list(pos), 0)
         self.filled, self.width, self.pos, self.absent = shape, cols, pos, absent
         self.g = g = [[0] * (cols + 2) for _ in range(rows + 2)]
         for c in range(1, len(pos)):
@@ -194,13 +172,16 @@ class _Grid:
         s = self.filled
         return _rotated_shape(s, s.n_rows, s.width) if self.absent else s
 
-    def tableau(self) -> Tableau:
+    def rows(self) -> tuple[tuple[int | None, ...], ...]:
+        """The grid's contents as `Tableau.rows` holds them, unvalidated."""
         s = self.shape
-        rows = (
+        return tuple(
             (None,) * s.inner_at(i) + tuple(self.g[i][s.inner_at(i) + 1 : s.outer[i - 1] + 1])
             for i in range(1, s.n_rows + 1)
         )
-        return Tableau(s, tuple(rows))
+
+    def tableau(self) -> Tableau:
+        return Tableau(self.shape, self.rows())
 
     def heights(self, k: int) -> list[int]:
         """Column heights of the SW path from the lower-left corner of the
@@ -263,7 +244,7 @@ class _Grid:
                     or g[i - 1][j] >= v
                     or 0 < g[i + 1][j] <= v
                 ):
-                    violations = validate_filling(self.shape, self.tableau().rows)
+                    violations = validate_filling(self.shape, self.rows())
                     violations = violations or [f"content {v} is not in its cell {pos[v]}"]
                     context = step if k is None else f"{step}_{k}"
                     raise AlgorithmError(f"{context} produced an invalid tableau: {violations}")
@@ -368,7 +349,7 @@ def inversion_path(t: Tableau, k: int) -> LatticePath:
     agree for k = n but not in general.
     """
     _check_pivot(t, k, "content")
-    grid = _Grid(t)
+    grid = _Grid(t.shape, t.positions())
     return _lattice_path(grid.pos[k], grid.heights(k))
 
 
@@ -380,11 +361,11 @@ def forward_blocks(t: Tableau, k: int, path: LatticePath) -> BlockPartition:
     the current block.
     """
     _check_pivot(t, k)
-    return _sw_blocks(_Grid(t), k, path)
+    return _sw_blocks(_Grid(t.shape, t.positions()), k, path)
 
 
 def _sw_blocks(grid: _Grid, k: int, path: LatticePath) -> BlockPartition:
-    """`forward_blocks` on the contents of a grid, validated when it was built."""
+    """`forward_blocks` on the contents of a grid."""
     pos = grid.pos
     if path.start != (pos[k][1] - 1, pos[k][0] - 1):
         raise AlgorithmError(f"path {path} does not start at the cell of {k}")
@@ -403,11 +384,11 @@ class MapStage:
 
 
 def _cycled(t: Tableau, step, pivots, turned: bool = False) -> Tableau:
-    grid = _Grid(t, turned)
+    grid = _Grid(t.shape, t.positions(), turned)
     for k in pivots:
         step(grid, k)
     if turned:  # back into t's own shape
-        grid = _Grid.of_positions(t.shape, _turned(t.shape, grid.pos))
+        grid = _Grid(t.shape, _turned(t.shape, grid.pos))
     return grid.tableau()
 
 
@@ -510,7 +491,7 @@ def inversion_path_set(t: Tableau) -> InversionPathSet:
     """The n-1 inversion paths, recorded along the forward cascade: each on
     the cascade's tableau just before its pivot's step (see
     `InversionPathSet`), not on t."""
-    paths, start = _inversions(_Grid(t))
+    paths, start = _inversions(_Grid(t.shape, t.positions()))
     return InversionPathSet(
         {cell: _lattice_path(cell, h) for cell, h in paths[:-1]},
         paths[-1][0],
@@ -528,11 +509,11 @@ def inversion_pairs(t: Tableau) -> set[tuple[Cell, Cell]]:
     and therefore anchors nothing; on skew shapes the rule is what makes
     the statistic match the major index of the composite map.
     """
-    return set(_pairs(*_inversions(_Grid(t))))
+    return set(_pairs(*_inversions(_Grid(t.shape, t.positions()))))
 
 
 def inv_statistic(t: Tableau) -> int:
-    return _count(_Grid(t))
+    return _count(_Grid(t.shape, t.positions()))
 
 
 def map_trace(t: Tableau, forward: bool = True) -> tuple[Tableau, list[MapStage], int]:
@@ -544,7 +525,7 @@ def map_trace(t: Tableau, forward: bool = True) -> tuple[Tableau, list[MapStage]
     phi_k's output, so the phi cascade records the paths of the psi cascade
     of its result; pivot 2 and the exempt cell take theirs at psi's output
     end (the result, or t)."""
-    grid = _Grid(t)
+    grid = _Grid(t.shape, t.positions())
     start = [row[:] for row in grid.g], grid.pos[:]
     ends = [] if forward else _end_paths(grid)
     pivots = range(t.n, 2, -1) if forward else range(3, t.n + 1)
@@ -569,7 +550,7 @@ def inv_code(t: Tableau) -> list[int]:
     """Per-content inversion counts: entry k-1 is the number of pairs whose
     larger cell holds k.  Sums to the inversion statistic."""
     code = [0] * t.n
-    paths, start = _inversions(_Grid(t))
+    paths, start = _inversions(_Grid(t.shape, t.positions()))
     for path in paths:
         code[t.content(path[0]) - 1] = len(_below(*start, [path]))
     return code
@@ -606,7 +587,7 @@ def ne_inversion_path(t: Tableau, k: int) -> LatticePath:
     absent cells of the turned grid count as n+1 (`_Grid.absent`).
     """
     _check_pivot(t, k, "content")
-    grid = _Grid(t, turned=True)
+    grid = _Grid(t.shape, t.positions(), turned=True)
     c = t.n + 1 - k
     return _rotate_path(t.shape, _lattice_path(grid.pos[c], grid.heights(c)))
 
@@ -616,7 +597,7 @@ def ne_blocks(t: Tableau, k: int, path: LatticePath) -> BlockPartition:
     on the side holding the cell of n: the SW blocks of the turned grid,
     with their cells turned back, on the other side of the path."""
     _check_pivot(t, k)
-    grid = _Grid(t, turned=True)
+    grid = _Grid(t.shape, t.positions(), turned=True)
     bp = _sw_blocks(grid, t.n + 1 - k, _rotate_path(t.shape, path))
     back = _turned_back(t.shape, grid.pos)
     blocks = tuple(tuple(map(back.get, block)) for block in bp.blocks)
@@ -631,7 +612,7 @@ def comaj_map(t: Tableau) -> Tableau:
 
 
 def ne_inversion_path_set(t: Tableau) -> InversionPathSet:
-    paths, start = _inversions(_Grid(t, turned=True))
+    paths, start = _inversions(_Grid(t.shape, t.positions(), turned=True))
     back = _turned_back(t.shape, start[1])
     return InversionPathSet(
         {back[cell]: _rotate_path(t.shape, _lattice_path(cell, h)) for cell, h in paths[:-1]},
@@ -647,4 +628,4 @@ def cinv_statistic(t: Tableau) -> int:
     Mirroring the SW statistic, the exempt cell anchors pairs through the
     trivial path at its own upper-right corner (every larger content weakly
     north-west of it counts)."""
-    return _count(_Grid(t, turned=True))
+    return _count(_Grid(t.shape, t.positions(), turned=True))

@@ -155,10 +155,13 @@ def format_shape(s: Shape) -> str:
 
 @dataclass(frozen=True)
 class Tableau:
-    """A shape plus contents; rows are stored bottom-up, None on inner cells.
+    """A standard Young tableau: a shape plus contents, rows stored
+    bottom-up, None on inner cells.
 
-    Construction checks only structural agreement with the shape; use
-    make_tableau / validate_filling for the standardness conditions.
+    Construction first checks that the rows fit the shape, raising
+    TableauError with the first fault, and then that the filling is
+    standard, raising TableauError with every violation `validate_filling`
+    finds; so every Tableau is an SYT.
     """
 
     shape: Shape
@@ -174,6 +177,9 @@ class Tableau:
             for j, v in enumerate(row, start=1):
                 if (v is None) != (j <= inner):
                     raise TableauError([f"placeholder/shape mismatch at cell ({i},{j})"])
+        violations = validate_filling(self.shape, self.rows)
+        if violations:
+            raise TableauError(violations)
 
     @property
     def n(self) -> int:
@@ -195,7 +201,8 @@ class Tableau:
         return pos
 
     def replace(self, updates: dict[Cell, int]) -> "Tableau":
-        """New tableau with the given cells overwritten."""
+        """New tableau with the given cells overwritten; raises TableauError
+        if the result is not standard."""
         rows = [list(r) for r in self.rows]
         for (i, j), v in updates.items():
             rows[i - 1][j - 1] = v
@@ -204,13 +211,6 @@ class Tableau:
 
 def validate_filling(shape: Shape, rows: list[list[int | None]]) -> list[str]:
     """All standardness violations of a raw filling; empty list means valid."""
-    return _checked_positions(shape, rows)[0]
-
-
-def _checked_positions(shape: Shape, rows: list[list[int | None]]) -> tuple[list[str], list[Cell | None]]:
-    """validate_filling's violations, and pos with pos[c] the cell of
-    content c as the check found it (None for a content it did not find).
-    On a valid filling pos equals `Tableau.positions()`."""
     violations: list[str] = []
     n = shape.size
     cells = shape.cells()
@@ -242,18 +242,14 @@ def _checked_positions(shape: Shape, rows: list[list[int | None]]) -> tuple[list
             violations.append(f"row not increasing: cell ({i},{j})={v} vs ({i},{j + 1})={right}")
         if above is not None and v >= above:
             violations.append(f"column not increasing: cell ({i},{j})={v} vs ({i + 1},{j})={above}")
-    return violations, pos
+    return violations
 
 
 def make_tableau(shape: Shape, rows: list[list[int | None]]) -> Tableau:
-    """Wrap a raw filling in a Tableau, whose construction checks it against
-    the shape, then check that it is standard; raises TableauError with the
-    first structural fault, or else with every standardness violation."""
-    t = Tableau(shape, tuple(tuple(r) for r in rows))
-    violations = validate_filling(shape, t.rows)
-    if violations:
-        raise TableauError(violations)
-    return t
+    """The Tableau of a raw filling given as lists; its construction raises
+    TableauError with the first structural fault, or else with every
+    standardness violation."""
+    return Tableau(shape, tuple(tuple(r) for r in rows))
 
 
 def tableau_from_rows(rows: list[list[int]], inner: tuple[int, ...] = ()) -> Tableau:

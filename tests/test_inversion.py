@@ -140,15 +140,16 @@ class TestBlocksAndPsi:
     @pytest.mark.parametrize("blocks,path", [(forward_blocks, inversion_path), (ne_blocks, ne_inversion_path)])
     def test_blocks_validate_through_the_grid_and_build_no_tableau(self, blocks, path, monkeypatch):
         with pytest.raises(TableauError):
-            blocks(Tableau(T22.shape, ((2, 1), (3, 4))), 3, path(T22, 3))
+            Tableau(T22.shape, ((2, 1), (3, 4)))
 
         def built(*args):
-            raise AssertionError("a Tableau was built or read")
+            raise AssertionError("a filling was validated or a Tableau built")
 
         pivots = [(t, k, path(t, k)) for t in (T22, SKEW2) for k in range(1, t.n + 1)]
         expected = [blocks(*pivot) for pivot in pivots]
         monkeypatch.setattr(_Grid, "tableau", built)
-        monkeypatch.setattr(Tableau, "positions", built)
+        monkeypatch.setattr(model, "validate_filling", built)
+        monkeypatch.setattr(inversion, "validate_filling", built)
         assert [blocks(*pivot) for pivot in pivots] == expected
 
     def test_psi_k_cycles_blocks(self):
@@ -322,32 +323,32 @@ class TestNeFunctions:
     def test_turned_grid_is_rotate_complement(self):
         for text in UNNORMALIZED + ("3,2", "4,3,1/2", "3,2/3"):
             for t in enumerate_syt(parse_shape(text)):
-                grid = _Grid(t, turned=True)
+                grid = _Grid(t.shape, t.positions(), turned=True)
                 assert grid.tableau() == rotate_complement(t)
                 assert grid.pos == rotate_complement(t).positions()
                 back = inversion._turned(t.shape, grid.pos)  # turned twice
                 assert back == t.positions()
-                assert _Grid.of_positions(t.shape, back).tableau() == t
+                assert _Grid(t.shape, back).tableau() == t
 
     @pytest.mark.parametrize(
         "fn", [cinv_statistic, comaj_map, ne_inversion_path_set, lambda t: ne_inversion_path(t, 2)]
     )
     def test_input_is_validated_once(self, fn, monkeypatch):
-        # `validate_filling` and `_Grid` both check a filling through
-        # `_checked_positions`, so counting it counts every validation.
+        # Every validation runs through `validate_filling`, so counting it
+        # counts them all; only a Tableau that the call returns is checked.
         calls = []
-        validate = model._checked_positions
+        validate = model.validate_filling
 
         def counting(*args):
             calls.append(args)
             return validate(*args)
 
-        monkeypatch.setattr(model, "_checked_positions", counting)
-        monkeypatch.setattr(inversion, "_checked_positions", counting)
+        monkeypatch.setattr(model, "validate_filling", counting)
+        monkeypatch.setattr(inversion, "validate_filling", counting)
         for t in (SKEW1, make_tableau(parse_shape("3,3/1,1"), [[None, 1, 3], [None, 2, 4]])):
             calls.clear()
             fn(t)
-            assert len(calls) == 1
+            assert len(calls) == (1 if fn is comaj_map else 0)
 
 
 class TestCountingCascade:
@@ -366,13 +367,12 @@ class TestCountingCascade:
 
     def test_turned_fill_equals_turning_the_filled_grid(self):
         for t in _ne_tableaux(6):
-            turned = _Grid.of_positions(t.shape, t.positions(), turned=True)
-            grid = _Grid.of_positions(t.shape, t.positions())
+            turned = _Grid(t.shape, t.positions(), turned=True)
+            grid = _Grid(t.shape, t.positions())
             m = t.n + 1  # the array turned in its box, contents complemented
             assert turned.g == [[v and m - v for v in reversed(row)] for row in reversed(grid.g)]
             assert turned.pos == rotate_complement(t).positions()
             assert (turned.shape, turned.width, turned.absent) == (rotate_complement(t).shape, grid.width, m)
-            assert vars(_Grid(t, turned=True)) == vars(turned)
 
 
 class TestUnnormalizedShapes:
@@ -430,7 +430,7 @@ class TestStepCheck:
         for _ in range(600):
             n = rng.randint(2, 30)
             t = random_syt.straight_syt(rng, n) if rng.random() < 0.5 else random_syt.skew_syt(rng, n, rng.randint(1, 4))
-            grid = _Grid(t)
+            grid = _Grid(t.shape, t.positions())
             pos = t.positions()
             kind = rng.randrange(3)
             if kind == 0:  # swap consecutive contents, often still standard
@@ -454,15 +454,16 @@ class TestStepCheck:
         assert 100 < sum(verdicts) < 500
 
     def test_cycle_rotates_a_run_of_positions(self):
-        grid = _Grid(T22B)
+        grid = _Grid(T22B.shape, T22B.positions())
         grid.cycle([(2, 4)])
         assert grid.tableau() == T22 and grid.pos == T22.positions()
         grid.check([(2, 4)], "test")
         grid.cycle([(2, 4)], forward=False)
         assert grid.tableau() == T22B and grid.pos == T22B.positions()
-        row = _Grid(tableau_from_rows([[1, 2, 3, 4]]))
+        t = tableau_from_rows([[1, 2, 3, 4]])
+        row = _Grid(t.shape, t.positions())
         row.cycle([(1, 4)])
-        assert row.tableau().rows == ((3, 1, 2, 4),)
+        assert row.g[1][1:5] == [3, 1, 2, 4] and row.pos == [(0, 0), (1, 2), (1, 3), (1, 1), (1, 4)]
         violation = r"\['row not increasing: cell \(1,1\)=3 vs \(1,2\)=1'\]"
         with pytest.raises(AlgorithmError, match=rf"^test produced an invalid tableau: {violation}$"):
             row.check([(1, 4)], "test")
@@ -504,13 +505,14 @@ class TestStepCheck:
             ((2, 2), ((2, 1), (3, 4))),
             ((2, 2), ((1, 2), (2, 4))),
             ((3, 2), ((1, 2, 3), (4, 9))),
+            ((2,), ((5, 1),)),
+            ((2, 2), ((1, 4), (2, 3))),
         ],
     )
     def test_non_standard_input_raises(self, shape, rows):
-        t = Tableau(Shape(shape), rows)
-        for fn in (psi, phi, inv_statistic, comaj_map, cinv_statistic):
-            with pytest.raises(TableauError):
-                fn(t)
+        with pytest.raises(TableauError) as e:
+            Tableau(Shape(shape), rows)
+        assert e.value.violations == validate_filling(Shape(shape), rows)
 
 
 class TestRandomLarge:

@@ -1,10 +1,13 @@
 """Shapes, tableaux, serialization, and geometric transforms."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tabinv import (
     Shape,
     ShapeError,
+    Tableau,
     TableauError,
     conjugate,
     corner_cells,
@@ -83,6 +86,11 @@ class TestTableau:
             tableau_from_rows([[1, 3], [2, 2]])  # duplicate
         with pytest.raises(TableauError):
             tableau_from_rows([[3, 4], [1, 2]])  # column decreasing upward
+
+    def test_replace_cannot_make_a_non_standard_tableau(self):
+        t = make_tableau(Shape((2,)), [[1, 2]])
+        with pytest.raises(TableauError, match=r"^duplicate content 2 at cells \(1,1\) and \(1,2\); row not"):
+            t.replace({(1, 1): 2})
 
     def test_validate_filling_reports_violations(self):
         s = parse_shape("2,2")
@@ -198,3 +206,36 @@ class TestSerialization:
         assert len(lines) == 2
         assert len(lines[0]) == len(lines[1])
         assert "10" in lines[0]  # top row printed first
+
+
+_SMALL_SHAPES = [parse_shape(text) for text in ("1", "3", "2,1", "2,2", "3,1,1", "2,2/1", "3,2,1/2")]
+
+
+@st.composite
+def _small_fillings(draw):
+    """A shape and rows that fit it, placeholders on its inner cells and a
+    permutation of 1..n on the others, with at most two entries then
+    overwritten by None, a bool or an integer from 0 to n+1."""
+    shape = draw(st.sampled_from(_SMALL_SHAPES))
+    contents = iter(draw(st.permutations(range(1, shape.size + 1))))
+    rows = [
+        [None if j <= shape.inner_at(i) else next(contents) for j in range(1, shape.outer[i - 1] + 1)]
+        for i in range(1, shape.n_rows + 1)
+    ]
+    entry = st.one_of(st.none(), st.booleans(), st.integers(0, shape.size + 1))
+    for cell in draw(st.lists(st.sampled_from(shape.cells()), max_size=2)):
+        rows[cell[0] - 1][cell[1] - 1] = draw(entry)
+    return shape, tuple(map(tuple, rows))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(filling=_small_fillings())
+@example(filling=(Shape((2, 2), (1,)), ((None, 1), (2, 3))))
+def test_every_tableau_is_standard(filling):
+    """A filling becomes a Tableau only if it is an SYT of its shape."""
+    shape, rows = filling
+    try:
+        t = Tableau(shape, rows)
+    except TableauError:
+        return
+    assert validate_filling(shape, rows) == [] and t.rows == rows
