@@ -1,15 +1,14 @@
-"""Exhaustive SYT generation, distribution polynomials and equidistribution
-checks, with an independent brute-force counting oracle."""
+"""Exhaustive SYT generation and counting, distribution polynomials and
+equidistribution checks."""
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .inversion import AlgorithmError, _count, _Grid
-from .model import Cell, Shape, Tableau, validate_filling
+from .model import Cell, Shape, Tableau
 from .stats import comaj_of, maj_of
 
 # Each statistic of an SYT of shape s from pos, where pos[c] is the cell of
@@ -154,25 +153,6 @@ def count_syt(s: Shape) -> int:
                 below[after] = below.get(after, 0) + count
         level = below
     return sum(level.values())
-
-
-def brute_force_count(s: Shape) -> int:
-    """Independent oracle: filter all n! placements through validation.
-
-    Only sensible for small n; used to certify the fast enumerator.
-    """
-    n = s.size
-    cells = s.cells()
-    count = 0
-    for perm in itertools.permutations(range(1, n + 1)):
-        rows: list[list[int | None]] = [
-            [None] * s.outer[i - 1] for i in range(1, s.n_rows + 1)
-        ]
-        for (i, j), v in zip(cells, perm):
-            rows[i - 1][j - 1] = v
-        if not validate_filling(s, rows):
-            count += 1
-    return count
 
 
 def partitions_of(n: int, max_rows: int | None = None, max_part: int | None = None) -> list[tuple[int, ...]]:

@@ -14,8 +14,9 @@ each column, so a cell is below a path exactly when its row is at most the
 height of its column.  Both step rules cut the contents below the pivot
 into runs of consecutive contents, so a block is an interval [a, b) of
 contents.  The forward step finds its blocks in one scan of the contents
-(`_blocks`), and cycling a block rotates the slice pos[a:b] one place and
-writes its contents back to their new cells (`_Grid.cycle`).
+(`_blocks`), the reverse step in one downward scan that resumes as its path
+grows (`_Grid.phi_step`), and cycling a block rotates the slice pos[a:b] one
+place and writes its contents back to their new cells (`_Grid.cycle`).
 
 The inversion statistic is counted from the paths the forward cascade
 records: each path counts the cells below it (`_below`), with no pair
@@ -263,53 +264,51 @@ class _Grid:
         """Reverse cycling for pivot k >= 3; returns the reconstructed path's
         heights and the block starts, in increasing order.
 
-        The path grows from the cell of k one step at a time.  Before each
-        step every block the partial path already determines is consumed:
-        scanning down from the largest unused content, a block is a content
-        on the anchor side followed by the maximal run below it on the other
-        side.  Each block is a run of consecutive contents, which cycles
-        one place the other way from `psi_step` as soon as it is found; the
-        step is checked once, on all the contents it moved.
+        The path grows from the cell (r, s) of k one step at a time.
+        side[c] holds whether content c < k lies below the partial path, or
+        None while the path may still pass its cell on either side.  Each
+        cell is decided once.  At the start, a cell in column s or east of
+        it is below exactly when its row is at most r, and a cell west of it
+        in row r or up is above.  A West step at column x puts the cells of
+        that column up to the path's height y below; a South step puts the
+        cells of row y in columns 1..x above.
+
+        Before each step every block the decided sides determine is
+        consumed: scanning down from the largest unused content, a block is
+        a content on the anchor side followed by the maximal run below it
+        on the other side.  The scan keeps its cursor c from step to step,
+        so no content is tested twice.  Each block is a run of consecutive
+        contents, which cycles one place the other way from `psi_step`
+        before the path's next step; cycling trades only the cells of
+        contents that have joined a block, so the sides of the others stay
+        true.  The step is checked once, on all the contents it moved.
         """
         g, pos = self.g, self.pos
         r, s = pos[k]
         anchor = r > pos[k - 1][0]  # k-1 is a descent: anchored below the path
         h = [r] * (self.width + 1)
         x, y = s - 1, r - 1
-        low = k  # contents low..k-1 have joined a block
+        side = [i <= r if j > x else (None if i <= y else False) for i, j in pos[:k]]
+        low, c = k, k - 1  # contents low..k-1 have joined a block; c+1..low-1 are scanned
         starts: list[int] = []
         moved: list[tuple[int, int]] = []
-
-        def below(c: int) -> bool | None:
-            i, j = pos[c]
-            if j > x:
-                return i <= h[j]
-            return None if i <= y else False
-
-        def consume() -> None:
-            nonlocal low
-            found = []
-            c = low - 1
-            while c >= 1:
-                side = below(c)
-                if side is None:
-                    break
-                if side != anchor:
+        while True:
+            found = len(moved)
+            while low > 1:
+                below = side[c] if c else anchor  # content 0 closes the last block
+                if below is None:
+                    break  # block not simple yet; resume once the path grows
+                if below == anchor and c < low - 1:  # c opens the next block
+                    starts.append(c + 1)
+                    if low - c > 2:
+                        moved.append((c + 1, low))
+                    low = c + 1
+                elif below != anchor and c == low - 1:
                     raise AlgorithmError(f"phi_{k}: top unused content {c} on the non-anchor side")
-                c2 = c - 1
-                while c2 >= 1 and below(c2) == (not anchor):
-                    c2 -= 1
-                if c2 >= 1 and below(c2) is None:
-                    break  # block not simple yet; retry after the path grows
-                starts.append(c2 + 1)
-                if c > c2 + 1:
-                    found.append((c2 + 1, c + 1))
-                low, c = c2 + 1, c2
-            self.cycle(found, forward=False)
-            moved.extend(found)
-
-        while x and y:
-            consume()
+                c -= 1
+            self.cycle(moved[found:], forward=False)
+            if not (x and y):
+                break
             b, left = g[y][x + 1], g[y + 1][x]
             if not (left and b):
                 west = bool(left)  # forced for absent neighbours, mirroring the forward rule
@@ -319,12 +318,14 @@ class _Grid:
                 west = low <= left < k and left > b
             if west:
                 h[x] = y
+                for i in range(1, y + 1):
+                    side[g[i][x]] = True
                 x -= 1
             else:
+                for j in range(1, x + 1):
+                    side[g[y][j]] = False
                 y -= 1
         h[1 : x + 1] = [0] * x
-        x = 0
-        consume()
         if low > 1:
             raise AlgorithmError(f"phi_{k}: contents {list(range(1, low))} never joined a simple block")
         self.check(moved, "phi", k)
@@ -403,10 +404,6 @@ def psi(t: Tableau) -> Tableau:
     return _cycled(t, _Grid.psi_step, range(t.n, 2, -1))
 
 
-def psi_trace(t: Tableau) -> tuple[Tableau, list[MapStage]]:
-    return map_trace(t)[:2]
-
-
 def phi_k(s: Tableau, k: int) -> Tableau:
     """Inverse of psi_k, by reverse cycling along the reconstructed path."""
     _check_pivot(s, k)
@@ -416,10 +413,6 @@ def phi_k(s: Tableau, k: int) -> Tableau:
 def phi(s: Tableau) -> Tableau:
     """Inverse composite map, pivots 3 up to n."""
     return _cycled(s, _Grid.phi_step, range(3, s.n + 1))
-
-
-def phi_trace(s: Tableau) -> tuple[Tableau, list[MapStage]]:
-    return map_trace(s, forward=False)[:2]
 
 
 @dataclass

@@ -84,31 +84,11 @@ class Shape:
     def conjugate(self) -> "Shape":
         return Shape(_conjugate_parts(self.outer), _conjugate_parts(self.inner))
 
-    def remove_cell(self, cell: Cell) -> "Shape":
-        """Shape with one outer corner cell removed."""
-        if cell not in self or cell not in corner_cells(self):
-            raise ShapeError(f"cell {cell} is not a removable corner of {self}")
-        i, j = cell
-        outer = list(self.outer)
-        outer[i - 1] -= 1
-        if outer[-1] == 0:
-            outer.pop()
-        return Shape(tuple(outer), self.inner)
-
 
 def _conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
     if not parts:
         return ()
     return tuple(sum(1 for p in parts if p >= i) for i in range(1, parts[0] + 1))
-
-
-def corner_cells(s: Shape) -> set[Cell]:
-    """Cells with no neighbor above or to the right (removable corners)."""
-    return {
-        (i, j)
-        for (i, j) in s.cells()
-        if (i + 1, j) not in s and (i, j + 1) not in s
-    }
 
 
 def _decimal(token: str) -> int:

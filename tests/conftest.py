@@ -36,6 +36,20 @@ CLI_CASES: list[tuple[str, list[str]]] = [
         "map_inverse_straight_2x2.txt",
         ["map", "--input", str(FIXTURES / "straight_2x2.txt"), "--direction", "inverse"],
     ),
+    # 3,2,1/2,1: the path of 3 runs where both neighbours of a corner are
+    # absent, so these pin the tie rules of the path and of its reconstruction.
+    (
+        "stats_skew_321_21.txt",
+        ["stats", "--input", str(FIXTURES / "skew_321_21.txt"), "--paths"],
+    ),
+    (
+        "map_trace_skew_321_21.txt",
+        ["map", "--input", str(FIXTURES / "skew_321_21.txt"), "--trace"],
+    ),
+    (
+        "map_trace_inverse_skew_321_21.txt",
+        ["map", "--input", str(FIXTURES / "skew_321_21.txt"), "--trace", "--direction", "inverse"],
+    ),
     (
         "enumerate_check_skew_22_1.txt",
         ["enumerate", "--shape", "2,2/1", "--check"],

@@ -1,14 +1,59 @@
-"""The recursive SYT generator that `enumeration.enumerate_syt` replaced,
-kept as the reference for its order: the largest content goes into each
-removable corner in descending row order, the rest of the shape is filled
-recursively, and every filling is validated in full."""
+"""References that only the tests use.
+
+`reference_syt` is the recursive SYT generator that
+`enumeration.enumerate_syt` replaced, kept as the reference for its order:
+the largest content goes into each removable corner in descending row
+order, the rest of the shape is filled recursively, and every filling is
+validated in full.  `brute_force_count` is a counting oracle independent of
+the enumerator: it validates all n! placements."""
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator
 
-from tabinv import Shape, Tableau, corner_cells, make_tableau
+from tabinv import Shape, ShapeError, Tableau, make_tableau, validate_filling
 from tabinv.model import Cell
+
+
+def corner_cells(s: Shape) -> set[Cell]:
+    """Cells with no neighbor above or to the right (removable corners)."""
+    return {
+        (i, j)
+        for (i, j) in s.cells()
+        if (i + 1, j) not in s and (i, j + 1) not in s
+    }
+
+
+def remove_cell(s: Shape, cell: Cell) -> Shape:
+    """s with one outer corner cell removed."""
+    if cell not in s or cell not in corner_cells(s):
+        raise ShapeError(f"cell {cell} is not a removable corner of {s}")
+    i, j = cell
+    outer = list(s.outer)
+    outer[i - 1] -= 1
+    if outer[-1] == 0:
+        outer.pop()
+    return Shape(tuple(outer), s.inner)
+
+
+def brute_force_count(s: Shape) -> int:
+    """The number of SYT of s: all n! placements filtered through validation.
+
+    Only sensible for small n; used to certify the fast enumerator.
+    """
+    n = s.size
+    cells = s.cells()
+    count = 0
+    for perm in itertools.permutations(range(1, n + 1)):
+        rows: list[list[int | None]] = [
+            [None] * s.outer[i - 1] for i in range(1, s.n_rows + 1)
+        ]
+        for (i, j), v in zip(cells, perm):
+            rows[i - 1][j - 1] = v
+        if not validate_filling(s, rows):
+            count += 1
+    return count
 
 
 def _assignments(s: Shape, k: int) -> Iterator[dict[Cell, int]]:
@@ -16,7 +61,7 @@ def _assignments(s: Shape, k: int) -> Iterator[dict[Cell, int]]:
         yield {}
         return
     for corner in sorted(corner_cells(s), key=lambda c: -c[0]):
-        for partial in _assignments(s.remove_cell(corner), k - 1):
+        for partial in _assignments(remove_cell(s, corner), k - 1):
             full = dict(partial)
             full[corner] = k
             yield full

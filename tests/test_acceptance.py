@@ -10,8 +10,8 @@ from functools import lru_cache
 from itertools import permutations
 
 from conftest import CLI_CASES, GOLDEN, run_cli_case
+from reference_syt import brute_force_count, remove_cell
 from tabinv import (
-    brute_force_count,
     bridge_check,
     cinv_statistic,
     classify_side,
@@ -61,7 +61,7 @@ def catalog_reports():
 def delete_top(t: Tableau) -> Tableau:
     """Remove the corner cell holding the largest content."""
     cell = t.positions()[t.n]
-    sub = t.shape.remove_cell(cell)
+    sub = remove_cell(t.shape, cell)
     rows = [list(r) for r in t.rows]
     rows[cell[0] - 1][cell[1] - 1] = None
     rows = [r[: sub.outer[i]] for i, r in enumerate(rows[: sub.n_rows])]

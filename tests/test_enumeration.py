@@ -8,11 +8,10 @@ import pytest
 
 import random_syt
 import tabinv.enumeration as enumeration
-from reference_syt import reference_syt
+from reference_syt import brute_force_count, reference_syt
 from tabinv import (
     AlgorithmError,
     DistributionPolynomial,
-    brute_force_count,
     cinv_statistic,
     comaj,
     count_syt,

@@ -34,10 +34,8 @@ from tabinv import (
     parse_shape,
     phi,
     phi_k,
-    phi_trace,
     psi,
     psi_k,
-    psi_trace,
     rotate_complement,
     tableau_from_rows,
     validate_filling,
@@ -184,12 +182,25 @@ class TestBlocksAndPsi:
                 assert psi(phi(t)) == t
 
     def test_traces_are_consistent(self):
-        result, stages = psi_trace(T22)
+        result, stages = map_trace(T22)[:2]
         assert result == psi(T22)
         assert [st.k for st in stages] == [4, 3]
-        back, inv_stages = phi_trace(result)
+        back, inv_stages = map_trace(result, forward=False)[:2]
         assert back == T22
         assert [st.k for st in inv_stages] == [3, 4]
+
+    def test_phi_stages_follow_the_forward_definition(self):
+        # Each phi_k stage reconstructs the path and blocks that psi_k takes
+        # on the stage's result.  A block's cells only trade places, so the
+        # blocks compare as sets of cells.
+        shapes = skew_catalog(6) + [parse_shape(text) for text in ("2,2/2", "3,3/1,1", "4,4,2/4,1", "3,2/3")]
+        for s in shapes:
+            for t in enumerate_syt(s):
+                for stage in map_trace(t, forward=False)[1]:
+                    k, before = stage.k, stage.result
+                    assert stage.path == inversion_path(before, k), (t.rows, k)
+                    forward = forward_blocks(before, k, stage.path).blocks
+                    assert {frozenset(b) for b in stage.blocks} == {frozenset(b) for b in forward}, (t.rows, k)
 
 
 class TestInvStatistic:
