@@ -21,7 +21,10 @@ place and writes its contents back to their new cells (`_Grid.cycle`).
 The inversion statistic is counted from the paths the forward cascade
 records: each path counts the cells below it (`_below`), with no pair
 built; only the callers that return the pairs build them (`_pairs`), from
-the same paths and the same rule.
+the same paths and the same rule.  A Tableau runs each forward cascade,
+SW and NE, at most once: its record (`_forward`) stays on the Tableau, and
+psi, the statistic, its pairs, paths and code (and their NE mirrors) all
+read it.  phi always runs its own reverse cascade.
 
 A grid is filled from the cell of each content of a standard filling:
 a Tableau's, which its construction proved standard, or one the
@@ -35,7 +38,7 @@ the whole result.  A failed check is a bug, raised as AlgorithmError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .model import Cell, Shape, Tableau, _rotated_shape, validate_filling
 
@@ -188,7 +191,9 @@ class _Grid:
         """Column heights of the SW path from the lower-left corner of the
         cell of k.  At each interior corner the path steps West when the
         content to the left beats the content below, else South; absent
-        cells count as `absent`."""
+        cells count as `absent`.  So a tie, which only a double absence
+        makes, steps South: South on the SW grid, and North once a turned
+        grid's path is turned back into an NE path."""
         g, absent = self.g, self.absent
         r, s = self.pos[k]
         h = [r] * (self.width + 1)
@@ -384,12 +389,10 @@ class MapStage:
     result: Tableau
 
 
-def _cycled(t: Tableau, step, pivots, turned: bool = False) -> Tableau:
-    grid = _Grid(t.shape, t.positions(), turned)
+def _cycled(t: Tableau, step, pivots) -> Tableau:
+    grid = _Grid(t.shape, t.positions())
     for k in pivots:
         step(grid, k)
-    if turned:  # back into t's own shape
-        grid = _Grid(t.shape, _turned(t.shape, grid.pos))
     return grid.tableau()
 
 
@@ -401,7 +404,7 @@ def psi_k(t: Tableau, k: int) -> Tableau:
 
 def psi(t: Tableau) -> Tableau:
     """Composite forward map, pivots n down to 3; sends Inv to maj."""
-    return _cycled(t, _Grid.psi_step, range(t.n, 2, -1))
+    return _Grid(t.shape, _forward(t).end).tableau()
 
 
 def phi_k(s: Tableau, k: int) -> Tableau:
@@ -447,6 +450,35 @@ def _inversions(grid: _Grid) -> tuple[list[tuple[Cell, list[int]]], tuple[list[l
     return paths + _end_paths(grid), start
 
 
+class _Cascade(NamedTuple):
+    """One forward cascade of a tableau, as `_inversions` returns it, and
+    where each content ends up, in the tableau's own shape.  Read only."""
+
+    paths: list[tuple[Cell, list[int]]]
+    start: tuple[list[list[int]], list[Cell]]
+    end: list[Cell]
+
+    def count(self) -> int:
+        """The inversion statistic the paths count (`_below`)."""
+        return len(_below(*self.start, self.paths))
+
+
+def _forward(t: Tableau, turned: bool = False) -> _Cascade:
+    """The forward cascade of t, on a grid turned (`_turned`) if `turned`.
+
+    It runs on the first call for t and orientation, with every step
+    checked, and its record is kept on t, so it lives as long as t does;
+    later calls read it.  A cascade that raises keeps no record."""
+    key = "_ne_cascade" if turned else "_sw_cascade"
+    record = t.__dict__.get(key)
+    if record is None:
+        grid = _Grid(t.shape, t.positions(), turned)
+        paths, start = _inversions(grid)
+        record = _Cascade(paths, start, _turned(t.shape, grid.pos) if turned else grid.pos)
+        object.__setattr__(t, key, record)  # Tableau is frozen; its fields stay as they are
+    return record
+
+
 def _count(grid: _Grid) -> int:
     """The inversion statistic of the grid's contents; the grid is left at
     the output end of the forward cascade."""
@@ -484,7 +516,7 @@ def inversion_path_set(t: Tableau) -> InversionPathSet:
     """The n-1 inversion paths, recorded along the forward cascade: each on
     the cascade's tableau just before its pivot's step (see
     `InversionPathSet`), not on t."""
-    paths, start = _inversions(_Grid(t.shape, t.positions()))
+    paths, start, _ = _forward(t)
     return InversionPathSet(
         {cell: _lattice_path(cell, h) for cell, h in paths[:-1]},
         paths[-1][0],
@@ -502,11 +534,12 @@ def inversion_pairs(t: Tableau) -> set[tuple[Cell, Cell]]:
     and therefore anchors nothing; on skew shapes the rule is what makes
     the statistic match the major index of the composite map.
     """
-    return set(_pairs(*_inversions(_Grid(t.shape, t.positions()))))
+    record = _forward(t)
+    return set(_pairs(record.paths, record.start))
 
 
 def inv_statistic(t: Tableau) -> int:
-    return _count(_Grid(t.shape, t.positions()))
+    return _forward(t).count()
 
 
 def map_trace(t: Tableau, forward: bool = True) -> tuple[Tableau, list[MapStage], int]:
@@ -543,7 +576,7 @@ def inv_code(t: Tableau) -> list[int]:
     """Per-content inversion counts: entry k-1 is the number of pairs whose
     larger cell holds k.  Sums to the inversion statistic."""
     code = [0] * t.n
-    paths, start = _inversions(_Grid(t.shape, t.positions()))
+    paths, start, _ = _forward(t)
     for path in paths:
         code[t.content(path[0]) - 1] = len(_below(*start, [path]))
     return code
@@ -601,11 +634,11 @@ def comaj_map(t: Tableau) -> Tableau:
     """Composite NE-variant map, pivots 1 up to n-2; fixes the cell of 1.
 
     psi run on the turned grid, whose cells turn back into t's own shape."""
-    return _cycled(t, _Grid.psi_step, range(t.n, 2, -1), turned=True)
+    return _Grid(t.shape, _forward(t, turned=True).end).tableau()
 
 
 def ne_inversion_path_set(t: Tableau) -> InversionPathSet:
-    paths, start = _inversions(_Grid(t.shape, t.positions(), turned=True))
+    paths, start, _ = _forward(t, turned=True)
     back = _turned_back(t.shape, start[1])
     return InversionPathSet(
         {back[cell]: _rotate_path(t.shape, _lattice_path(cell, h)) for cell, h in paths[:-1]},
@@ -621,4 +654,4 @@ def cinv_statistic(t: Tableau) -> int:
     Mirroring the SW statistic, the exempt cell anchors pairs through the
     trivial path at its own upper-right corner (every larger content weakly
     north-west of it counts)."""
-    return _count(_Grid(t.shape, t.positions(), turned=True))
+    return _forward(t, turned=True).count()

@@ -142,6 +142,9 @@ class Tableau:
     TableauError with the first fault, and then that the filling is
     standard, raising TableauError with every violation `validate_filling`
     finds; so every Tableau is an SYT.
+
+    `inversion._forward` may keep the record of a forward cascade on an
+    instance.  It is not a field, so equality, hashing and repr ignore it.
     """
 
     shape: Shape

@@ -5,14 +5,15 @@
 the largest content goes into each removable corner in descending row
 order, the rest of the shape is filled recursively, and every filling is
 validated in full.  `brute_force_count` is a counting oracle independent of
-the enumerator: it validates all n! placements."""
+the enumerator: it validates all n! placements.  `reference_path` walks the
+inversion path's corner rule on `Tableau.content`, without the kernel's grid."""
 
 from __future__ import annotations
 
 import itertools
 from typing import Iterator
 
-from tabinv import Shape, ShapeError, Tableau, make_tableau, validate_filling
+from tabinv import LatticePath, Shape, ShapeError, Tableau, make_tableau, validate_filling
 from tabinv.model import Cell
 
 
@@ -73,3 +74,41 @@ def reference_syt(s: Shape) -> Iterator[Tableau]:
         for (i, j), v in assignment.items():
             rows[i - 1][j - 1] = v
         yield make_tableau(s, rows)
+
+
+def reference_path(t: Tableau, k: int, north_east: bool = False) -> LatticePath:
+    """The SW inversion path of content k, or its NE path, one corner at a time.
+
+    At the lattice point (x, y) the two cells that decide the step are
+    (y+1, x), up and to the left, and (y, x+1), down and to the right; an
+    absent cell counts as 0.  The SW path, from the lower-left corner of the
+    cell of k to the origin, steps West when the first content is larger,
+    else South.  The NE path, from the upper-right corner to the corner of
+    the bounding box, steps East when the first is larger, else North.  So a
+    double absence steps South, and North for NE.  At the border of its box
+    a path has one way left."""
+
+    def content(i: int, j: int) -> int:
+        return t.content((i, j)) if (i, j) in t.shape else 0
+
+    (r, s), = [cell for cell in t.shape.cells() if t.content(cell) == k]
+    x, y = (s, r) if north_east else (s - 1, r - 1)
+    start, steps = (x, y), []
+    if north_east:
+        width, height = t.shape.width, t.shape.n_rows
+        while (x, y) != (width, height):
+            if x < width and (y == height or content(y + 1, x) > content(y, x + 1)):
+                steps.append("E")
+                x += 1
+            else:
+                steps.append("N")
+                y += 1
+    else:
+        while (x, y) != (0, 0):
+            if x and (not y or content(y + 1, x) > content(y, x + 1)):
+                steps.append("W")
+                x -= 1
+            else:
+                steps.append("S")
+                y -= 1
+    return LatticePath(start, "".join(steps))

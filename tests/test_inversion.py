@@ -7,6 +7,7 @@ import random
 import pytest
 
 import random_syt
+from reference_syt import reference_path
 from tabinv import (
     ABOVE,
     BELOW,
@@ -75,6 +76,16 @@ class TestInversionPath:
     def test_out_of_range_content(self):
         with pytest.raises(ValueError):
             inversion_path(T22, 5)
+
+    def test_paths_follow_the_corner_rule(self):
+        # The reference walks the rule on the tableau's contents, with no
+        # grid; on skew shapes it meets double absences, which step South
+        # for SW paths and North for NE paths.
+        for s in skew_catalog(6):
+            for t in enumerate_syt(s):
+                for k in range(1, t.n + 1):
+                    assert inversion_path(t, k) == reference_path(t, k), (t.rows, k)
+                    assert ne_inversion_path(t, k) == reference_path(t, k, north_east=True), (t.rows, k)
 
 
 class TestSideClassification:
@@ -362,9 +373,69 @@ class TestNeFunctions:
             assert len(calls) == (1 if fn is comaj_map else 0)
 
 
+SW_READERS = (psi, inv_statistic, inversion_pairs, inversion_path_set, inv_code)
+NE_READERS = (comaj_map, cinv_statistic, ne_inversion_path_set)
+
+
 class TestCountingCascade:
     """The statistic counted from the cascade's paths against the pair
-    sets, and grids filled turned against grids turned after filling."""
+    sets, grids filled turned against grids turned after filling, and the
+    cascade record each tableau keeps per orientation."""
+
+    @pytest.mark.parametrize("first", SW_READERS + NE_READERS, ids=lambda fn: fn.__name__)
+    def test_one_forward_cascade_per_tableau_and_orientation(self, first, monkeypatch):
+        steps = []
+        psi_step = _Grid.psi_step
+
+        def counting(self, k):
+            steps.append(k)
+            return psi_step(self, k)
+
+        monkeypatch.setattr(_Grid, "psi_step", counting)
+        same, other = (SW_READERS, NE_READERS) if first in SW_READERS else (NE_READERS, SW_READERS)
+        for t in (
+            tableau_from_rows([[1, 2, 5], [3, 4, 6], [7]]),
+            make_tableau(parse_shape("4,3,2/2,1"), [[None, None, 1, 3], [None, 2, 5], [4, 6]]),
+        ):
+            cascade = t.n - 2
+            steps.clear()
+            first(t)
+            assert len(steps) == cascade
+            for fn in same:
+                fn(t)
+            assert len(steps) == cascade
+            for fn in other:
+                fn(t)
+            assert len(steps) == 2 * cascade
+            for fn in SW_READERS + NE_READERS:
+                fn(t)
+            assert len(steps) == 2 * cascade
+
+    def test_reading_order_does_not_mix_the_orientations(self):
+        # NE first and then SW on one instance against SW first on a fresh
+        # equal one; the SW values against map_trace, and the NE values
+        # against map_trace on the turned tableau.
+        for s in skew_catalog(6):
+            for t in enumerate_syt(s):
+                fresh = Tableau(t.shape, t.rows)
+                ne = [fn(t) for fn in NE_READERS]
+                sw = [fn(t) for fn in SW_READERS]
+                assert [fn(fresh) for fn in SW_READERS] == sw, t.rows
+                assert [fn(fresh) for fn in NE_READERS] == ne, t.rows
+                image, _, inv = map_trace(Tableau(t.shape, t.rows))
+                assert sw[:2] == [image, inv], t.rows
+                turned_image, _, cinv = map_trace(rotate_complement(t))
+                assert ne[:2] == [rotate_complement_into(turned_image, t.shape), cinv], t.rows
+
+    def test_the_record_leaves_equality_hash_and_repr_alone(self):
+        for t in _ne_tableaux(4):
+            fresh = Tableau(t.shape, t.rows)
+            for fn in SW_READERS + NE_READERS:
+                fn(t)
+            assert t == fresh and fresh == t
+            assert hash(t) == hash(fresh)
+            assert repr(t) == repr(fresh)
+            assert len({t, fresh}) == 1
 
     def test_count_equals_the_number_of_pairs(self):
         # TestNeFunctions compares cinv with the NE pairs on _ne_tableaux().
@@ -482,7 +553,7 @@ class TestStepCheck:
     @pytest.mark.parametrize("fault", ["off_by_one", "duplicate", "swapped_cells"])
     def test_bad_cycling_write_raises(self, monkeypatch, fault):
         t = tableau_from_rows([[1, 2, 5], [3, 4, 6], [7]])
-        image = psi(t)
+        image = psi(tableau_from_rows([[1, 2, 5], [3, 4, 6], [7]]))  # t keeps no sound cascade record
         cycle = _Grid.cycle
 
         def bad_cycle(self, blocks, forward=True):
