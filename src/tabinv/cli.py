@@ -9,7 +9,6 @@ the dict `--format json` prints, and renders its text lines from it.
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from .enumeration import (
@@ -237,7 +236,10 @@ def cmd_render(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The `tabinv` argument parser."""
+    import argparse  # here, not at the top: importing this module without running main never pays for it
+
     parser = argparse.ArgumentParser(
         prog="tabinv",
         description="Tableau inversion statistics and cycling bijections.",

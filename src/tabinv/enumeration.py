@@ -4,11 +4,10 @@ equidistribution checks."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .inversion import AlgorithmError, _count, _Grid
-from .model import Cell, Shape, Tableau
+from .model import Cell, Shape, Tableau, _Checked
 from .stats import comaj_of, maj_of
 
 # Each statistic of an SYT of shape s from pos, where pos[c] is the cell of
@@ -188,11 +187,14 @@ def skew_catalog(max_cells: int = 8, max_rows: int = 4, max_width: int = 4) -> l
     return sorted(shapes, key=lambda s: (s.size, s.outer, s.inner))
 
 
-@dataclass(frozen=True)
-class DistributionPolynomial:
+class _PolynomialFields(NamedTuple):
+    coefficients: tuple[int, ...]
+
+
+class DistributionPolynomial(_Checked, _PolynomialFields):
     """Nonnegative integer coefficients; index is the exponent of q."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ()
 
     def __post_init__(self):
         if self.coefficients and self.coefficients[-1] == 0:
@@ -295,8 +297,7 @@ def _prefix_values(s: Shape, prefix: tuple[int, ...], names: list[str]) -> dict[
     return {name: column for name, (_, column) in zip(names, columns)}
 
 
-@dataclass
-class ClassReport:
+class ClassReport(NamedTuple):
     """One equidistribution comparison, optionally restricted to the class of
     tableaux with a pinned content in a given cell."""
 
@@ -311,8 +312,7 @@ class ClassReport:
         return self.poly_a == self.poly_b
 
 
-@dataclass
-class EquidistributionReport:
+class EquidistributionReport(NamedTuple):
     shape: Shape
     classes: list[ClassReport]
 

@@ -3,7 +3,7 @@ tableau maps via staircase skew shapes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .inversion import phi
 from .model import Shape, Tableau, _decimal, make_tableau
@@ -157,8 +157,7 @@ def read_staircase(t: Tableau) -> Permutation:
     return check_permutation(tuple(values))
 
 
-@dataclass
-class BridgeReport:
+class BridgeReport(NamedTuple):
     """Three-way agreement between the tableau map on staircases, the
     permutation-level reverse cycling, and Foata's map on the inverse."""
 

@@ -37,7 +37,6 @@ the whole result.  A failed check is a bug, raised as AlgorithmError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .model import Cell, Shape, Tableau, _rotated_shape, validate_filling
@@ -50,16 +49,14 @@ class AlgorithmError(RuntimeError):
     """Internal consistency failure; signals a bug, never bad user input."""
 
 
-@dataclass(frozen=True)
-class LatticePath:
+class LatticePath(NamedTuple):
     """A monotone unit-step path; start is a lattice point (x, y)."""
 
     start: tuple[int, int]
     steps: str  # "S"/"W" for SW paths, "N"/"E" for NE paths
 
 
-@dataclass(frozen=True)
-class BlockPartition:
+class BlockPartition(NamedTuple):
     """Cycling blocks for one pivot; cells listed in increasing content order."""
 
     k: int
@@ -381,8 +378,7 @@ def _sw_blocks(grid: _Grid, k: int, path: LatticePath) -> BlockPartition:
     return BlockPartition(k, BELOW if i <= h[j] else ABOVE, blocks)
 
 
-@dataclass(frozen=True)
-class MapStage:
+class MapStage(NamedTuple):
     k: int
     path: LatticePath
     blocks: tuple[tuple[Cell, ...], ...]
@@ -418,8 +414,7 @@ def phi(s: Tableau) -> Tableau:
     return _cycled(s, _Grid.phi_step, range(3, s.n + 1))
 
 
-@dataclass
-class InversionPathSet:
+class InversionPathSet(NamedTuple):
     """One path per cell, except one exempt cell, and the ordered pairs
     (path cell, counted cell) of the statistic they define.
 

@@ -7,7 +7,7 @@ outer/inner with inner contained in outer; a straight shape has empty inner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 Cell = tuple[int, int]  # (row, col), both 1-based
 
@@ -33,12 +33,34 @@ def _check_parts(parts: tuple[int, ...], what: str) -> None:
             raise ShapeError(f"{what} parts not weakly decreasing: {parts}")
 
 
-@dataclass(frozen=True)
-class Shape:
-    """A straight or skew Ferrers diagram, outer minus inner."""
+class _Checked:
+    """Base of a NamedTuple subclass whose construction checks its fields:
+    every way to build one, `_make` and `_replace` included, runs the
+    class's `__post_init__`, looked up when it runs.  Listed before the
+    NamedTuple among the bases, so its `_make` is the one found.
 
+    The value types are NamedTuples because defining them costs a cold
+    start next to nothing (see README's Start-up section)."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        self.__post_init__()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _ShapeFields(NamedTuple):
     outer: tuple[int, ...]
     inner: tuple[int, ...] = ()
+
+
+class Shape(_Checked, _ShapeFields):
+    """A straight or skew Ferrers diagram, outer minus inner."""
+
+    __slots__ = ()
 
     def __post_init__(self):
         _check_parts(self.outer, "outer")
@@ -133,8 +155,12 @@ def format_shape(s: Shape) -> str:
     return out
 
 
-@dataclass(frozen=True)
-class Tableau:
+class _TableauFields(NamedTuple):
+    shape: Shape
+    rows: tuple[tuple[int | None, ...], ...]
+
+
+class Tableau(_Checked, _TableauFields):
     """A standard Young tableau: a shape plus contents, rows stored
     bottom-up, None on inner cells.
 
@@ -143,24 +169,29 @@ class Tableau:
     standard, raising TableauError with every violation `validate_filling`
     finds; so every Tableau is an SYT.
 
+    Like every value type of tabinv, a Tableau is a tuple of its fields,
+    (shape, rows), and nothing can be assigned to it.
+
     `inversion._forward` may keep the record of a forward cascade on an
     instance.  It is not a field, so equality, hashing and repr ignore it.
     """
 
-    shape: Shape
-    rows: tuple[tuple[int | None, ...], ...]
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a Tableau is immutable")
 
     def __post_init__(self):
-        if len(self.rows) != self.shape.n_rows:
-            raise TableauError([f"expected {self.shape.n_rows} rows, got {len(self.rows)}"])
-        for i, row in enumerate(self.rows, start=1):
-            if len(row) != self.shape.outer[i - 1]:
-                raise TableauError([f"row {i} has {len(row)} entries, expected {self.shape.outer[i - 1]}"])
-            inner = self.shape.inner_at(i)
+        shape, rows = self
+        outer = shape.outer
+        if len(rows) != len(outer):
+            raise TableauError([f"expected {len(outer)} rows, got {len(rows)}"])
+        for i, row in enumerate(rows, start=1):
+            if len(row) != outer[i - 1]:
+                raise TableauError([f"row {i} has {len(row)} entries, expected {outer[i - 1]}"])
+            inner = shape.inner_at(i)
             for j, v in enumerate(row, start=1):
                 if (v is None) != (j <= inner):
                     raise TableauError([f"placeholder/shape mismatch at cell ({i},{j})"])
-        violations = validate_filling(self.shape, self.rows)
+        violations = validate_filling(shape, rows)
         if violations:
             raise TableauError(violations)
 
@@ -169,10 +200,12 @@ class Tableau:
         return self.shape.size
 
     def content(self, cell: Cell) -> int:
+        """The content of a cell of the shape; ValueError for any other
+        cell, an inner one included."""
+        if cell not in self.shape:
+            raise ValueError(f"cell {cell} is not a cell of shape {format_shape(self.shape)}")
         i, j = cell
-        v = self.rows[i - 1][j - 1]
-        assert v is not None
-        return v
+        return self.rows[i - 1][j - 1]
 
     def positions(self) -> list[Cell]:
         """positions()[c] is the cell holding content c (index 0 unused)."""

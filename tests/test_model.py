@@ -1,4 +1,7 @@
-"""Shapes, tableaux, serialization, and geometric transforms."""
+"""Shapes, tableaux, serialization, geometric transforms, and the contract
+of the value types."""
+
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,13 +9,18 @@ from hypothesis import strategies as st
 
 from reference_syt import corner_cells, remove_cell
 from tabinv import (
+    DistributionPolynomial,
+    LatticePath,
     Shape,
     ShapeError,
     Tableau,
     TableauError,
     conjugate,
     format_shape,
+    forward_blocks,
+    inversion_path,
     make_tableau,
+    map_trace,
     parse_shape,
     parse_tableau_text,
     render,
@@ -78,6 +86,14 @@ class TestTableau:
         assert t.n == 5
         assert t.content((2, 2)) == 5
         assert t.positions()[4] == (1, 3)
+
+    @pytest.mark.parametrize("cell", [(0, 1), (1, 0), (1, 1), (1, 4)])
+    def test_content_of_a_cell_outside_the_shape_is_an_error(self, cell):
+        # Row 0 and column 0 must not wrap round to the last row or column,
+        # and an inner cell has no content.
+        t = make_tableau(parse_shape("3,2/1"), [[None, 1, 2], [3, 4]])
+        with pytest.raises(ValueError, match=rf"^cell \({cell[0]}, {cell[1]}\) is not a cell of shape 3,2/1$"):
+            t.content(cell)
 
     def test_rejects_non_standard_fillings(self):
         with pytest.raises(TableauError):
@@ -239,3 +255,64 @@ def test_every_tableau_is_standard(filling):
     except TableauError:
         return
     assert validate_filling(shape, rows) == [] and t.rows == rows
+
+
+def test_value_types_keep_their_contract(monkeypatch):
+    """A Shape, Tableau, LatticePath, BlockPartition, MapStage or
+    DistributionPolynomial is a tuple of its fields that prints as its class
+    with named fields, hashes as the plain tuple, checks its input however
+    it is built, and pickles back to its own class."""
+    t = tableau_from_rows([[1, 2], [3, 4]])
+    u = tableau_from_rows([[1, 3, 4], [2, 5]])
+    values = [
+        Shape((3, 2), (1,)),
+        t,
+        tableau_from_rows([[2], [1, 3]], inner=(1,)),
+        LatticePath((1, 1), "SW"),
+        forward_blocks(u, 5, inversion_path(u, 5)),
+        map_trace(t, True)[1][0],
+        DistributionPolynomial((1, 0, 2)),
+    ]
+    assert list(map(repr, values)) == [
+        "Shape(outer=(3, 2), inner=(1,))",
+        "Tableau(shape=Shape(outer=(2, 2), inner=()), rows=((1, 2), (3, 4)))",
+        "Tableau(shape=Shape(outer=(2, 2), inner=(1,)), rows=((None, 2), (1, 3)))",
+        "LatticePath(start=(1, 1), steps='SW')",
+        "BlockPartition(k=5, anchor_side='above', blocks=(((1, 1),), ((2, 1), (1, 2), (1, 3))))",
+        "MapStage(k=4, path=LatticePath(start=(1, 1), steps='WS'), blocks=(((1, 1),), ((1, 2), (2, 1))), "
+        "result=Tableau(shape=Shape(outer=(2, 2), inner=()), rows=((1, 3), (2, 4))))",
+        "DistributionPolynomial(coefficients=(1, 0, 2))",
+    ]
+    for value in values:
+        copy = type(value)(*value)
+        assert copy == value and hash(copy) == hash(value) == hash(tuple(value))
+
+    bad = [
+        (lambda: Shape((2, 3)), ShapeError, "outer parts not weakly decreasing: (2, 3)"),
+        (lambda: DistributionPolynomial((1, 0)), ValueError, "coefficients not in canonical form (trailing zero)"),
+        (lambda: Tableau(Shape((2, 1)), ((1, 2), ())), TableauError, "row 2 has 0 entries, expected 1"),
+        (lambda: Tableau(Shape((2, 2)), ((1, 2), (4, 3))), TableauError, "row not increasing: cell (2,1)=4 vs (2,2)=3"),
+        (lambda: Shape._make([(2, 3), ()]), ShapeError, "outer parts not weakly decreasing: (2, 3)"),
+        (lambda: Shape((3, 2))._replace(inner=(3, 3)), ShapeError, "inner (3, 3) not contained in outer (3, 2)"),
+        (lambda: DistributionPolynomial._make([(1, 0)]), ValueError, "coefficients not in canonical form (trailing zero)"),
+        (lambda: t._replace(rows=((1, 2), (4, 3))), TableauError, "row not increasing: cell (2,1)=4 vs (2,2)=3"),
+    ]
+    for build, error, message in bad:
+        with pytest.raises(error) as caught:
+            build()
+        assert type(caught.value) is error and str(caught.value) == message
+    for value in (Shape((2,)), t, DistributionPolynomial((1,))):
+        for name in (value._fields[0], "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, ())
+
+    # A --par worker receives its Shape by pickle.
+    for value in (Shape((3, 2), (1,)), t):
+        back = pickle.loads(pickle.dumps(value))
+        assert type(back) is type(value) and repr(back) == repr(value)
+
+    # Construction looks __post_init__ up on the class when it runs, so
+    # patching it there, as the benchmark's tracer does, takes effect.
+    seen = []
+    monkeypatch.setattr(Tableau, "__post_init__", lambda self: seen.append(self))
+    assert Tableau(Shape((2,)), ((2, 1),)) in seen
