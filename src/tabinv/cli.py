@@ -29,7 +29,7 @@ from .foata import (
     perm_inverse,
     perm_maj,
 )
-from .inversion import AlgorithmError, inversion_path_set, map_trace
+from .inversion import AlgorithmError, inv_code, inv_statistic, inversion_path_set, map_trace
 from .model import (
     format_shape,
     parse_shape,
@@ -78,18 +78,14 @@ def cmd_stats(args) -> int:
     t = _load_tableau(args.input)
     pos = t.positions()
     ips = inversion_path_set(t)
-    pairs = sorted((t.content(big), t.content(small)) for big, small in ips.pairs)
-    code = [0] * t.n
-    for big, _ in pairs:
-        code[big - 1] += 1
     out = tableau_to_json_dict(t)
     out["stats"] = {
         "n": t.n,
         "descents": descents(pos),
         "maj": maj_of(pos),
         "comaj": comaj_of(pos),
-        "inv": len(pairs),
-        "code": code,
+        "inv": inv_statistic(t),
+        "code": inv_code(t),
     }
     lines = [f"shape={format_shape(t.shape)}"]
     lines += [
@@ -105,6 +101,7 @@ def cmd_stats(args) -> int:
             for p in out["paths"]
         ]
     if args.pairs:
+        pairs = sorted((t.content(big), t.content(small)) for big, small in ips.pairs)
         out["pairs"] = [list(pair) for pair in pairs]
         lines += [f"pair larger={big} smaller={small}" for big, small in out["pairs"]]
     _emit(args, out, lines)

@@ -5,8 +5,9 @@ South-West lattice path; the composite over all pivots sends the inversion
 statistic to the major index.  A North-East variant plays the same role for
 the co-major index; it is the South-West machinery run on a grid turned by
 180 degrees with its contents complemented.  One turn of the cell of each
-content (`_turned`) fills such a grid and carries an NE result back to the
-input's shape; the turned shape is worked out only when asked for.
+content (`model._turned`, which `model.rotate_complement` also uses) fills
+such a grid and carries an NE result back to the input's shape; the turned
+shape (`model._rotated_shape`) is worked out only when asked for.
 
 Every map runs on one mutable `_Grid`: a zero-padded array of contents plus
 the cell of each content.  A path is kept as the height at which it crosses
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .model import Cell, Shape, Tableau, _rotated_shape, validate_filling
+from .model import Cell, Shape, Tableau, _rotated_shape, _turned, validate_filling
 
 BELOW = "below"  # weakly SE of a path
 ABOVE = "above"  # weakly NW of a path
@@ -131,14 +132,6 @@ def _intervals(starts: list[int], k: int) -> Iterator[tuple[int, int]]:
     return zip(starts, starts[1:] + [k])
 
 
-def _turned(shape: Shape, pos: list[Cell]) -> list[Cell]:
-    """The cells pos (pos[c] the cell of c) of a filling turned 180 degrees
-    in the box of shape and complemented, as `model.rotate_complement` does:
-    n+1-c takes the turned cell of c.  Turning twice in one box restores pos."""
-    rows, cols = shape.n_rows + 1, shape.width + 1
-    return [(0, 0)] + [(rows - i, cols - j) for i, j in reversed(pos[1:])]
-
-
 class _Grid:
     """The working copy of a standard tableau that the cycling maps mutate.
 
@@ -153,7 +146,7 @@ class _Grid:
 
     def __init__(self, shape: Shape, pos: list[Cell], turned: bool = False):
         """The grid of the filling of shape with content c in cell pos[c],
-        turned (`_turned`) in the bounding box of shape if `turned`.
+        turned (`model._turned`) in the bounding box of shape if `turned`.
 
         The filling is not validated: it must be standard, as a Tableau's
         positions and the enumerator's guarded ones are.  pos is copied,
@@ -168,10 +161,11 @@ class _Grid:
 
     @property
     def shape(self) -> Shape:
-        """The shape the grid was filled in, turned (`_turned`) if the grid is;
+        """The shape the grid was filled in, or, if the grid is turned, the
+        shape that `model._turned` puts its cells in (`model._rotated_shape`);
         only `tableau` and a failed `check` ask for it, so a count never turns it."""
         s = self.filled
-        return _rotated_shape(s, s.n_rows, s.width) if self.absent else s
+        return _rotated_shape(s) if self.absent else s
 
     def rows(self) -> tuple[tuple[int | None, ...], ...]:
         """The grid's contents as `Tableau.rows` holds them, unvalidated."""
@@ -459,7 +453,7 @@ class _Cascade(NamedTuple):
 
 
 def _forward(t: Tableau, turned: bool = False) -> _Cascade:
-    """The forward cascade of t, on a grid turned (`_turned`) if `turned`.
+    """The forward cascade of t, on a grid turned (`model._turned`) if `turned`.
 
     It runs on the first call for t and orientation, with every step
     checked, and its record is kept on t, so it lives as long as t does;
@@ -582,7 +576,7 @@ def inv_code(t: Tableau) -> list[int]:
 # Rotating by 180 degrees inside the bounding box and complementing contents
 # turns NE paths into SW paths, the side NW of a path into the side SE of it
 # and "scan down from n" into "scan up from 1", so each NE object is the SW
-# one of the turned grid (`_turned`), rotated back.
+# one of the turned grid (`model._turned`), rotated back.
 
 _ROTATED_STEPS = str.maketrans("WSEN", "ENWS")
 

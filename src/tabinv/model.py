@@ -35,9 +35,10 @@ def _check_parts(parts: tuple[int, ...], what: str) -> None:
 
 class _Checked:
     """Base of a NamedTuple subclass whose construction checks its fields:
-    every way to build one, `_make` and `_replace` included, runs the
-    class's `__post_init__`, looked up when it runs.  Listed before the
-    NamedTuple among the bases, so its `_make` is the one found.
+    every way to build one, `_make`, `_replace`, `pickle` and `copy`
+    included, runs the class's `__post_init__`, looked up when it runs.
+    Listed before the NamedTuple among the bases, so its `_make` is the one
+    found.
 
     The value types are NamedTuples because defining them costs a cold
     start next to nothing (see README's Start-up section)."""
@@ -50,6 +51,10 @@ class _Checked:
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+    def __reduce__(self):
+        # pickle and copy carry the fields alone, and loading checks them.
+        return type(self), tuple(self)
 
 
 class _ShapeFields(NamedTuple):
@@ -268,17 +273,6 @@ def make_tableau(shape: Shape, rows: list[list[int | None]]) -> Tableau:
     return Tableau(shape, tuple(tuple(r) for r in rows))
 
 
-def tableau_from_rows(rows: list[list[int]], inner: tuple[int, ...] = ()) -> Tableau:
-    """Convenience constructor from plain bottom-up rows of a straight shape,
-    or rows of cells only together with an explicit inner partition."""
-    outer = tuple(len(r) + (inner[i] if i < len(inner) else 0) for i, r in enumerate(rows))
-    shape = Shape(outer, inner)
-    full: list[list[int | None]] = []
-    for i, r in enumerate(rows, start=1):
-        full.append([None] * shape.inner_at(i) + list(r))
-    return make_tableau(shape, full)
-
-
 def conjugate(t: Tableau) -> Tableau:
     """Transpose across the main diagonal; content of (i,j) moves to (j,i)."""
     shape = t.shape.conjugate()
@@ -294,40 +288,37 @@ def rotate_complement(t: Tableau) -> Tableau:
     """Rotate 180 degrees inside the bounding box and complement contents.
 
     Cell (i, j) goes to (R+1-i, C+1-j) for an R-row, C-column bounding box and
-    content c becomes n+1-c.  An involution on tableaux whose shape has no
-    leading empty rows or columns; on other shapes those rows and columns end
-    up trailing and are trimmed, and `rotate_complement_into` restores them.
+    content c becomes n+1-c (`_turned`).  An involution on tableaux whose
+    shape has no leading empty rows or columns; on other shapes those rows
+    and columns end up trailing and are trimmed (`_rotated_shape`).
     """
-    return rotate_complement_into(t, _rotated_shape(t.shape, t.shape.n_rows, t.shape.width))
+    shape = _rotated_shape(t.shape)
+    rows: list[list[int | None]] = [[None] * p for p in shape.outer]
+    for c, (i, j) in enumerate(_turned(t.shape, t.positions())[1:], start=1):
+        rows[i - 1][j - 1] = c
+    return make_tableau(shape, rows)
 
 
-def _rotated_shape(s: Shape, rows: int, cols: int) -> Shape:
-    """s rotated 180 degrees inside a box of `rows` rows and `cols` columns
-    that contains it, with the empty rows that end up on top trimmed."""
+def _turned(shape: Shape, pos: list[Cell]) -> list[Cell]:
+    """The cells pos (pos[c] the cell of c) of a filling turned 180 degrees
+    in the box of shape and complemented: n+1-c takes the turned cell of c.
+    The one cell-turn formula of tabinv; turning twice in one box restores pos."""
+    rows, cols = shape.n_rows + 1, shape.width + 1
+    return [(0, 0)] + [(rows - i, cols - j) for i, j in reversed(pos[1:])]
+
+
+def _rotated_shape(s: Shape) -> Shape:
+    """s rotated 180 degrees inside its bounding box, with the empty rows
+    that end up on top trimmed."""
+    rows, cols = s.n_rows, s.width
     outer = [cols - s.inner_at(i) for i in range(rows, 0, -1)]
-    inner = [cols - (s.outer[i - 1] if i <= s.n_rows else 0) for i in range(rows, 0, -1)]
+    inner = [cols - s.outer[i - 1] for i in range(rows, 0, -1)]
     while outer and outer[-1] == 0:
         outer.pop()
         inner.pop()
     while inner and inner[-1] == 0:
         inner.pop()
     return Shape(tuple(outer), tuple(inner))
-
-
-def rotate_complement_into(t: Tableau, shape: Shape) -> Tableau:
-    """Rotate and complement t as rotate_complement does, onto `shape`, inside
-    the larger of the two bounding boxes.
-
-    rotate_complement_into(rotate_complement(t), t.shape) == t for every t.
-    """
-    big_r = max(t.shape.n_rows, shape.n_rows)
-    big_c = max(t.shape.width, shape.width)
-    rows: list[list[int | None]] = [
-        [None] * shape.outer[i - 1] for i in range(1, shape.n_rows + 1)
-    ]
-    for (i, j) in t.shape.cells():
-        rows[big_r - i][big_c - j] = t.n + 1 - t.content((i, j))
-    return make_tableau(shape, rows)
 
 
 # --- text format -----------------------------------------------------------

@@ -6,7 +6,10 @@ the largest content goes into each removable corner in descending row
 order, the rest of the shape is filled recursively, and every filling is
 validated in full.  `brute_force_count` is a counting oracle independent of
 the enumerator: it validates all n! placements.  `reference_path` walks the
-inversion path's corner rule on `Tableau.content`, without the kernel's grid."""
+inversion path's corner rule on `Tableau.content`, without the kernel's grid.
+`tableau_from_rows` is the tests' shorthand for a tableau, and
+`rotate_complement_into` their NE reference: a 180-degree turn with its own
+cell formula on `Tableau.content`, independent of `model._turned`."""
 
 from __future__ import annotations
 
@@ -112,3 +115,30 @@ def reference_path(t: Tableau, k: int, north_east: bool = False) -> LatticePath:
                 steps.append("S")
                 y -= 1
     return LatticePath(start, "".join(steps))
+
+
+def tableau_from_rows(rows: list[list[int]], inner: tuple[int, ...] = ()) -> Tableau:
+    """Convenience constructor from plain bottom-up rows of a straight shape,
+    or rows of cells only together with an explicit inner partition."""
+    outer = tuple(len(r) + (inner[i] if i < len(inner) else 0) for i, r in enumerate(rows))
+    shape = Shape(outer, inner)
+    full: list[list[int | None]] = []
+    for i, r in enumerate(rows, start=1):
+        full.append([None] * shape.inner_at(i) + list(r))
+    return make_tableau(shape, full)
+
+
+def rotate_complement_into(t: Tableau, shape: Shape) -> Tableau:
+    """Rotate and complement t as rotate_complement does, onto `shape`, inside
+    the larger of the two bounding boxes.
+
+    rotate_complement_into(rotate_complement(t), t.shape) == t for every t.
+    """
+    big_r = max(t.shape.n_rows, shape.n_rows)
+    big_c = max(t.shape.width, shape.width)
+    rows: list[list[int | None]] = [
+        [None] * shape.outer[i - 1] for i in range(1, shape.n_rows + 1)
+    ]
+    for (i, j) in t.shape.cells():
+        rows[big_r - i][big_c - j] = t.n + 1 - t.content((i, j))
+    return make_tableau(shape, rows)

@@ -7,7 +7,7 @@ import random
 import pytest
 
 import random_syt
-from reference_syt import reference_path
+from reference_syt import reference_path, rotate_complement_into, tableau_from_rows
 from tabinv import (
     ABOVE,
     BELOW,
@@ -38,14 +38,13 @@ from tabinv import (
     psi,
     psi_k,
     rotate_complement,
-    tableau_from_rows,
     validate_filling,
 )
 import tabinv.inversion as inversion
 import tabinv.model as model
 from tabinv.inversion import _Grid
 from tabinv.enumeration import skew_catalog, statistic_values
-from tabinv.model import Shape, Tableau, TableauError, rotate_complement_into
+from tabinv.model import Shape, Tableau, TableauError
 
 T22 = tableau_from_rows([[1, 2], [3, 4]])
 T22B = tableau_from_rows([[1, 3], [2, 4]])

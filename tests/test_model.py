@@ -2,12 +2,13 @@
 of the value types."""
 
 import pickle
+from copy import copy as shallow_copy, deepcopy
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference_syt import corner_cells, remove_cell
+from reference_syt import corner_cells, remove_cell, tableau_from_rows
 from tabinv import (
     DistributionPolynomial,
     LatticePath,
@@ -15,6 +16,7 @@ from tabinv import (
     ShapeError,
     Tableau,
     TableauError,
+    cinv_statistic,
     conjugate,
     format_shape,
     forward_blocks,
@@ -23,10 +25,10 @@ from tabinv import (
     map_trace,
     parse_shape,
     parse_tableau_text,
+    psi,
     render,
     rotate_complement,
     tableau_from_json_dict,
-    tableau_from_rows,
     tableau_to_json_dict,
     tableau_to_text,
     validate_filling,
@@ -261,7 +263,8 @@ def test_value_types_keep_their_contract(monkeypatch):
     """A Shape, Tableau, LatticePath, BlockPartition, MapStage or
     DistributionPolynomial is a tuple of its fields that prints as its class
     with named fields, hashes as the plain tuple, checks its input however
-    it is built, and pickles back to its own class."""
+    it is built, and pickles and copies back to its own class with its
+    fields alone."""
     t = tableau_from_rows([[1, 2], [3, 4]])
     u = tableau_from_rows([[1, 3, 4], [2, 5]])
     values = [
@@ -311,8 +314,18 @@ def test_value_types_keep_their_contract(monkeypatch):
         back = pickle.loads(pickle.dumps(value))
         assert type(back) is type(value) and repr(back) == repr(value)
 
+    # The forward-cascade records stay behind: pickle and copy carry the fields alone.
+    psi(t), cinv_statistic(t)
+    assert t.__dict__
+    assert pickle.dumps(t) == pickle.dumps(tableau_from_rows([[1, 2], [3, 4]]))
+    for copied in (shallow_copy(t), deepcopy(t)):
+        assert type(copied) is Tableau and copied == t and copied.__dict__ == {}
+
     # Construction looks __post_init__ up on the class when it runs, so
     # patching it there, as the benchmark's tracer does, takes effect.
     seen = []
     monkeypatch.setattr(Tableau, "__post_init__", lambda self: seen.append(self))
     assert Tableau(Shape((2,)), ((2, 1),)) in seen
+    # Loading a pickle builds through the constructor, so it checks too.
+    back = pickle.loads(pickle.dumps(t))
+    assert seen[-1] is back

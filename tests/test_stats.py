@@ -1,5 +1,6 @@
 """Descent-based statistics."""
 
+from reference_syt import tableau_from_rows
 from tabinv import (
     comaj,
     descent_set,
@@ -7,7 +8,6 @@ from tabinv import (
     make_tableau,
     parse_shape,
     rotate_complement,
-    tableau_from_rows,
 )
 
 
