@@ -77,7 +77,6 @@ def _emit(args, record: dict, lines: list[str]) -> None:
 def cmd_stats(args) -> int:
     t = _load_tableau(args.input)
     pos = t.positions()
-    ips = inversion_path_set(t)
     out = tableau_to_json_dict(t)
     out["stats"] = {
         "n": t.n,
@@ -92,6 +91,7 @@ def cmd_stats(args) -> int:
         f"{key}={_fmt_list(value) if isinstance(value, list) else value}"
         for key, value in out["stats"].items()
     ]
+    ips = inversion_path_set(t) if args.paths or args.pairs else None
     if args.paths:
         paths = sorted((t.content(cell), p) for cell, p in ips.paths.items())
         out["paths"] = [{"start": list(p.start), "steps": p.steps, "content": c} for c, p in paths]
@@ -270,8 +270,9 @@ def build_parser():
 
     p = sub.add_parser("foata", help="classical bijection on permutations")
     p.add_argument("--perm", required=True, help='e.g. "4137562" or "4,1,3,7,5,6,2"')
-    p.add_argument("--inverse", action="store_true")
-    p.add_argument("--bridge", action="store_true", help="three-route comparison")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--inverse", action="store_true")
+    mode.add_argument("--bridge", action="store_true", help="three-route comparison")
     add_format(p)
     p.set_defaults(func=cmd_foata)
 

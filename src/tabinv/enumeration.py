@@ -6,7 +6,7 @@ from __future__ import annotations
 import os
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .inversion import AlgorithmError, _count, _Grid
+from .inversion import AlgorithmError, _Grid, _inversions
 from .model import Cell, Shape, Tableau, _Checked
 from .stats import comaj_of, maj_of
 
@@ -17,8 +17,8 @@ from .stats import comaj_of, maj_of
 STATISTICS: dict[str, Callable[[Shape, list[Cell]], int]] = {
     "maj": lambda s, pos: maj_of(pos),
     "comaj": lambda s, pos: comaj_of(pos),
-    "inv": lambda s, pos: _count(_Grid(s, pos)),
-    "cinv": lambda s, pos: _count(_Grid(s, pos, turned=True)),
+    "inv": lambda s, pos: _inversions(_Grid(s, pos)).count(),
+    "cinv": lambda s, pos: _inversions(_Grid(s, pos, turned=True)).count(),
 }
 
 

@@ -17,15 +17,18 @@ into runs of consecutive contents, so a block is an interval [a, b) of
 contents.  The forward step finds its blocks in one scan of the contents
 (`_blocks`), the reverse step in one downward scan that resumes as its path
 grows (`_Grid.phi_step`), and cycling a block rotates the slice pos[a:b] one
-place and writes its contents back to their new cells (`_Grid.cycle`).
+place and writes its contents back to their new cells (`_Grid.cycle`).  A
+step returns only the blocks it cycled; `_partition` rebuilds the rest.
+Only `_Grid.heights` decides how a path crosses absent cells: the reverse
+step's path stops at the first one, since every cell beyond it is inner.
 
 The inversion statistic is counted from the paths the forward cascade
-records: each path counts the cells below it (`_below`), with no pair
-built; only the callers that return the pairs build them (`_pairs`), from
-the same paths and the same rule.  A Tableau runs each forward cascade,
-SW and NE, at most once: its record (`_forward`) stays on the Tableau, and
-psi, the statistic, its pairs, paths and code (and their NE mirrors) all
-read it.  phi always runs its own reverse cascade.
+records (`_Cascade`): each path counts the cells below it (`_below`), with
+no pair built; only the callers that return the pairs build them
+(`_pairs`), from the same paths and the same rule.  A Tableau runs each
+forward cascade, SW and NE, at most once: its record (`_forward`) stays on
+the Tableau, and psi, the statistic, its pairs, paths and code (and their
+NE mirrors) all read it.  phi always runs its own reverse cascade.
 
 A grid is filled from the cell of each content of a standard filling:
 a Tableau's, which its construction proved standard, or one the
@@ -38,7 +41,7 @@ the whole result.  A failed check is a bug, raised as AlgorithmError.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .model import Cell, Shape, Tableau, _rotated_shape, _turned, validate_filling
 
@@ -101,35 +104,35 @@ def _path_heights(path: LatticePath, width: int) -> list[int]:
     return h
 
 
-def _blocks(pos: list[Cell], h: list[int], k: int) -> tuple[list[int], list[tuple[int, int]]]:
-    """The cycling blocks of the contents below k, for the path with column
-    heights h, in one scan: the first content of each block, and the blocks
-    of two or more contents as intervals [a, b).
+def _blocks(pos: list[Cell], h: list[int], k: int) -> list[tuple[int, int]]:
+    """The cycling blocks of two or more contents below k, for the path
+    with column heights h, as intervals [a, b), in one scan.
 
     Scanned in increasing content order, a content on the side of the cell
-    of 1 opens a block and one on the other side extends the current one.
-    So the blocks are the runs of consecutive contents between one start
-    and the next, the last one ending at k (see `_intervals`)."""
+    of 1 opens a block and one on the other side extends the current one,
+    so each block is a run of consecutive contents.  Blocks of one content,
+    which cycling leaves alone, are left out (`_partition` adds them)."""
     i, j = pos[1]
     anchor = i <= h[j]
-    starts: list[int] = []
     runs: list[tuple[int, int]] = []
     a = 1
-    for c in range(1, k):
+    for c in range(2, k):
         i, j = pos[c]
         if (i <= h[j]) == anchor:
             if c - a > 1:
                 runs.append((a, c))
-            starts.append(c)
             a = c
     if k - a > 1:
         runs.append((a, k))
-    return starts, runs
+    return runs
 
 
-def _intervals(starts: list[int], k: int) -> Iterator[tuple[int, int]]:
-    """The blocks [a, b) of the contents below k with the given starts."""
-    return zip(starts, starts[1:] + [k])
+def _partition(runs: list[tuple[int, int]], k: int) -> list[tuple[int, int]]:
+    """All the blocks [a, b) of the contents below k, in order, from those
+    of two or more (`_blocks`); every other content is a block of its own."""
+    inside = {c for a, b in runs for c in range(a + 1, b)}
+    starts = [c for c in range(1, k) if c not in inside]
+    return list(zip(starts, starts[1:] + [k]))
 
 
 class _Grid:
@@ -246,19 +249,19 @@ class _Grid:
                     context = step if k is None else f"{step}_{k}"
                     raise AlgorithmError(f"{context} produced an invalid tableau: {violations}")
 
-    def psi_step(self, k: int) -> tuple[list[int], list[int]]:
+    def psi_step(self, k: int) -> tuple[list[int], list[tuple[int, int]]]:
         """Forward cycling for pivot k >= 3 along its inversion path;
-        returns the path's heights and the block starts (`_blocks`)."""
+        returns the path's heights and the blocks it cycled (`_blocks`)."""
         h = self.heights(k)
-        starts, moved = _blocks(self.pos, h, k)
+        moved = _blocks(self.pos, h, k)
         if moved:
             self.cycle(moved)
             self.check(moved, "psi", k)
-        return h, starts
+        return h, moved
 
-    def phi_step(self, k: int) -> tuple[list[int], list[int]]:
-        """Reverse cycling for pivot k >= 3; returns the reconstructed path's
-        heights and the block starts, in increasing order.
+    def phi_step(self, k: int) -> list[tuple[int, int]]:
+        """Reverse cycling for pivot k >= 3; returns the blocks [a, b) of two
+        or more contents it cycled, from the top down.
 
         The path grows from the cell (r, s) of k one step at a time.
         side[c] holds whether content c < k lies below the partial path, or
@@ -267,7 +270,9 @@ class _Grid:
         it is below exactly when its row is at most r, and a cell west of it
         in row r or up is above.  A West step at column x puts the cells of
         that column up to the path's height y below; a South step puts the
-        cells of row y in columns 1..x above.
+        cells of row y in columns 1..x above.  The path stops at its first
+        absent neighbour (the border included): every cell south-west of it
+        is inner and holds no content, so every side is decided.
 
         Before each step every block the decided sides determine is
         consumed: scanning down from the largest unused content, a block is
@@ -282,11 +287,9 @@ class _Grid:
         g, pos = self.g, self.pos
         r, s = pos[k]
         anchor = r > pos[k - 1][0]  # k-1 is a descent: anchored below the path
-        h = [r] * (self.width + 1)
         x, y = s - 1, r - 1
         side = [i <= r if j > x else (None if i <= y else False) for i, j in pos[:k]]
         low, c = k, k - 1  # contents low..k-1 have joined a block; c+1..low-1 are scanned
-        starts: list[int] = []
         moved: list[tuple[int, int]] = []
         while True:
             found = len(moved)
@@ -295,7 +298,6 @@ class _Grid:
                 if below is None:
                     break  # block not simple yet; resume once the path grows
                 if below == anchor and c < low - 1:  # c opens the next block
-                    starts.append(c + 1)
                     if low - c > 2:
                         moved.append((c + 1, low))
                     low = c + 1
@@ -303,17 +305,14 @@ class _Grid:
                     raise AlgorithmError(f"phi_{k}: top unused content {c} on the non-anchor side")
                 c -= 1
             self.cycle(moved[found:], forward=False)
-            if not (x and y):
-                break
             b, left = g[y][x + 1], g[y + 1][x]
             if not (left and b):
-                west = bool(left)  # forced for absent neighbours, mirroring the forward rule
-            elif anchor:
+                break
+            if anchor:
                 west = not (low <= b < k and b > left)
             else:
                 west = low <= left < k and left > b
             if west:
-                h[x] = y
                 for i in range(1, y + 1):
                     side[g[i][x]] = True
                 x -= 1
@@ -321,12 +320,10 @@ class _Grid:
                 for j in range(1, x + 1):
                     side[g[y][j]] = False
                 y -= 1
-        h[1 : x + 1] = [0] * x
         if low > 1:
             raise AlgorithmError(f"phi_{k}: contents {list(range(1, low))} never joined a simple block")
         self.check(moved, "phi", k)
-        starts.reverse()
-        return h, starts
+        return moved
 
 
 def _check_pivot(t: Tableau, k: int, what: str = "pivot") -> None:
@@ -368,7 +365,7 @@ def _sw_blocks(grid: _Grid, k: int, path: LatticePath) -> BlockPartition:
         raise AlgorithmError(f"path {path} does not start at the cell of {k}")
     h = _path_heights(path, grid.width)
     i, j = pos[1]
-    blocks = tuple(tuple(pos[a:b]) for a, b in _intervals(_blocks(pos, h, k)[0], k))
+    blocks = tuple(tuple(pos[a:b]) for a, b in _partition(_blocks(pos, h, k), k))
     return BlockPartition(k, BELOW if i <= h[j] else ABOVE, blocks)
 
 
@@ -422,26 +419,8 @@ class InversionPathSet(NamedTuple):
     pairs: set[tuple[Cell, Cell]]
 
 
-def _inversions(grid: _Grid) -> tuple[list[tuple[Cell, list[int]]], tuple[list[list[int]], list[Cell]]]:
-    """Run the forward cascade on grid and return every path that anchors
-    inversion pairs, and the grid's starting contents, on which they count
-    (`_below`): the inversion paths of pivots n down to 2, each taken just
-    before its own cycling step, then the trivial path at the lower-left
-    corner of the exempt cell.  The statistic is the number of counted
-    cells (`_count`); only the callers that return pairs build them
-    (`_pairs`).
-
-    Once pivot k has cycled, content k never moves again, so the path start
-    cells are distinct and the exempt cell is where 1 ends up.
-    """
-    start = [row[:] for row in grid.g], grid.pos[:]
-    paths = [(grid.pos[k], grid.psi_step(k)[0]) for k in range(len(grid.pos) - 1, 2, -1)]
-    return paths + _end_paths(grid), start
-
-
 class _Cascade(NamedTuple):
-    """One forward cascade of a tableau, as `_inversions` returns it, and
-    where each content ends up, in the tableau's own shape.  Read only."""
+    """One forward cascade, as `_inversions` records it.  Read only."""
 
     paths: list[tuple[Cell, list[int]]]
     start: tuple[list[list[int]], list[Cell]]
@@ -450,6 +429,23 @@ class _Cascade(NamedTuple):
     def count(self) -> int:
         """The inversion statistic the paths count (`_below`)."""
         return len(_below(*self.start, self.paths))
+
+
+def _inversions(grid: _Grid) -> _Cascade:
+    """Run the forward cascade on grid and record every path that anchors
+    inversion pairs, the grid's starting contents, on which they count
+    (`_below`), and the grid's `pos` at the output end: the inversion paths
+    of pivots n down to 2, each taken just before its own cycling step,
+    then the trivial path at the lower-left corner of the exempt cell.  The
+    statistic is the number of counted cells (`_Cascade.count`); only the
+    callers that return pairs build them (`_pairs`).
+
+    Once pivot k has cycled, content k never moves again, so the path start
+    cells are distinct and the exempt cell is where 1 ends up.
+    """
+    start = [row[:] for row in grid.g], grid.pos[:]
+    paths = [(grid.pos[k], grid.psi_step(k)[0]) for k in range(len(grid.pos) - 1, 2, -1)]
+    return _Cascade(paths + _end_paths(grid), start, grid.pos)
 
 
 def _forward(t: Tableau, turned: bool = False) -> _Cascade:
@@ -461,18 +457,11 @@ def _forward(t: Tableau, turned: bool = False) -> _Cascade:
     key = "_ne_cascade" if turned else "_sw_cascade"
     record = t.__dict__.get(key)
     if record is None:
-        grid = _Grid(t.shape, t.positions(), turned)
-        paths, start = _inversions(grid)
-        record = _Cascade(paths, start, _turned(t.shape, grid.pos) if turned else grid.pos)
+        record = _inversions(_Grid(t.shape, t.positions(), turned))
+        if turned:
+            record = record._replace(end=_turned(t.shape, record.end))  # back into t's shape
         object.__setattr__(t, key, record)  # Tableau is frozen; its fields stay as they are
     return record
-
-
-def _count(grid: _Grid) -> int:
-    """The inversion statistic of the grid's contents; the grid is left at
-    the output end of the forward cascade."""
-    paths, start = _inversions(grid)
-    return len(_below(*start, paths))
 
 
 def _end_paths(grid: _Grid) -> list[tuple[Cell, list[int]]]:
@@ -536,10 +525,11 @@ def map_trace(t: Tableau, forward: bool = True) -> tuple[Tableau, list[MapStage]
     inversion statistic of the tableau at psi's input end (t, or phi(t)),
     counted from the paths that same cascade records.
 
-    phi_k reconstructs on its input exactly the path that psi_k takes on
-    phi_k's output, so the phi cascade records the paths of the psi cascade
+    A phi_k stage shows the path that psi_k takes on the stage's result
+    (`heights`), so the phi cascade records the paths of the psi cascade
     of its result; pivot 2 and the exempt cell take theirs at psi's output
-    end (the result, or t)."""
+    end (the result, or t).  A stage's blocks are all its blocks
+    (`_partition`), on the cells of the stage's input."""
     grid = _Grid(t.shape, t.positions())
     start = [row[:] for row in grid.g], grid.pos[:]
     ends = [] if forward else _end_paths(grid)
@@ -547,9 +537,12 @@ def map_trace(t: Tableau, forward: bool = True) -> tuple[Tableau, list[MapStage]
     stages, paths = [], []
     for k in pivots:
         before = grid.pos[:]
-        h, starts = grid.psi_step(k) if forward else grid.phi_step(k)
-        blocks = [tuple(before[a:b]) for a, b in _intervals(starts, k)]
-        if not forward:  # found scanning down, each from its top content
+        if forward:
+            h, runs = grid.psi_step(k)
+        else:  # the path psi_k takes on the stage's result
+            runs, h = grid.phi_step(k), grid.heights(k)
+        blocks = [tuple(before[a:b]) for a, b in _partition(runs, k)]
+        if not forward:  # as phi finds them: scanning down, each from its top content
             blocks = [block[::-1] for block in reversed(blocks)]
         paths.append((grid.pos[k], h))
         stages.append(MapStage(k, _lattice_path(grid.pos[k], h), tuple(blocks), grid.tableau()))

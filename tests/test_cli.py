@@ -43,6 +43,18 @@ def test_stats_json_is_valid_json(capsys):
     assert data["stats"]["maj"] == 2
 
 
+def test_stats_builds_the_path_set_only_when_it_prints_it(capsys, monkeypatch):
+    # Plain `stats` prints inv and code, which need no pair; only --paths
+    # and --pairs read the path set.
+    def refuse(t):
+        raise AssertionError("inversion_path_set called without --paths or --pairs")
+
+    monkeypatch.setattr("tabinv.cli.inversion_path_set", refuse)
+    for fmt in ("text", "json"):
+        assert main(["stats", "--input", str(FIXTURES / "skew_321_21.txt"), "--format", fmt]) == 0
+    assert "inv=" in capsys.readouterr().out
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 
@@ -390,8 +402,9 @@ def test_internal_error_in_enumerate_exits_3(capsys, bad_cycle):
         ["enumerate", "--shape", "3,2", "--par", "abc"],
         ["bogus"],
         ["map", "--input", str(FIXTURES / "straight_2x2.txt"), "--direction", "sideways"],
+        ["foata", "--perm", "4137562", "--inverse", "--bridge"],
     ],
-    ids=["missing-shape", "par-abc", "unknown-subcommand", "direction-sideways"],
+    ids=["missing-shape", "par-abc", "unknown-subcommand", "direction-sideways", "foata-inverse-bridge"],
 )
 def test_usage_error_is_a_user_error(argv, capsys):
     assert main(argv) == 1

@@ -132,6 +132,16 @@ class TestBlocksAndPsi:
         assert [[T22B.content(c) for c in block] for block in bp.blocks] == [[1], [2, 3]]
         assert bp.anchor_side == ABOVE
 
+    def test_blocks_partition_the_contents_below_k(self):
+        # Read in order, the blocks hold every content below k once, in
+        # increasing order, so each block is a run of consecutive contents;
+        # the blocks of one content, which no step cycles, included.
+        for s in skew_catalog(6):
+            for t in enumerate_syt(s):
+                for k in range(1, t.n + 1):
+                    blocks = forward_blocks(t, k, inversion_path(t, k)).blocks
+                    assert [t.content(c) for block in blocks for c in block] == list(range(1, k)), (t.rows, k)
+
     @pytest.mark.parametrize(
         "blocks,k,path",
         [
@@ -200,8 +210,11 @@ class TestBlocksAndPsi:
         assert [st.k for st in inv_stages] == [3, 4]
 
     def test_phi_stages_follow_the_forward_definition(self):
-        # Each phi_k stage reconstructs the path and blocks that psi_k takes
-        # on the stage's result.  A block's cells only trade places, so the
+        # Each phi_k stage shows the path and blocks that psi_k takes on the
+        # stage's result.  The path is taken there with `heights`, so this
+        # holds it to `inversion_path` on the same tableau; the blocks come
+        # from the runs phi_step cycled, so this holds the reverse step to
+        # `forward_blocks`.  A block's cells only trade places, so the
         # blocks compare as sets of cells.
         shapes = skew_catalog(6) + [parse_shape(text) for text in ("2,2/2", "3,3/1,1", "4,4,2/4,1", "3,2/3")]
         for s in shapes:
@@ -259,8 +272,9 @@ class TestInvStatistic:
                 assert inv_statistic(t) == maj(psi(t))
 
     def test_map_trace_counts_inv_from_its_own_cascade(self):
-        # Inverse, the paths come from phi's reconstruction, so this also
-        # checks that they are the paths psi takes on phi's result.
+        # Inverse, each stage's path is taken with `heights` on the stage's
+        # result, and the count over them must match the count that psi's
+        # own cascade makes from phi's result: the stages are psi's.
         for s in skew_catalog(6, 3, 3):
             for t in enumerate_syt(s):
                 image, _, inv = map_trace(t)
