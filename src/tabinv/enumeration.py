@@ -68,6 +68,11 @@ def _placements(inner: list[int], lengths: tuple[int, ...]) -> list[tuple[int, t
     ]
 
 
+# One move of `_fillings`: the row, the row above it, the column (0-based)
+# of the cell it fills, that cell, and the free-region lengths it leaves.
+_Move = tuple[list, list, int, Cell, tuple[int, ...]]
+
+
 def _fillings(s: Shape, prefix: tuple[int, ...] = ()) -> Iterator[tuple[list[list[int | None]], list[Cell]]]:
     """Every SYT of s, as enumerate_syt orders them, whose largest contents
     sit where `prefix` puts them, as (rows, pos): the rows bottom-up with
@@ -78,56 +83,71 @@ def _fillings(s: Shape, prefix: tuple[int, ...] = ()) -> Iterator[tuple[list[lis
     item is requested: a caller that keeps a filling copies it.
 
     Contents n, n-1, ..., 1 go one at a time into the rightmost free cell of
-    a row; at each content the candidate rows are those of `_corner_rows`,
-    highest first, and the filling backtracks in place.  `prefix` fixes the
-    rows of the first len(prefix) contents.
+    a row, and the filling backtracks in place.  The candidate rows are
+    those of `_placements`, worked out once per free-region state of a
+    pass; `prefix` fixes the rows of the first len(prefix) contents.
 
-    Each placement is checked: the cell must be free, and its right and
-    upper neighbours must be outside the shape or already filled, that is
-    hold larger contents.  Every cell is filled once and every pair of
-    adjacent cells is checked when its smaller cell is filled, so on each
-    yielded filling this is a full standardness check, and the statistics
-    read `pos` without validating again.  A failure raises AlgorithmError.
+    The guard checks every placement on the live array: the cell must be
+    free, and its right and upper neighbours must be outside the shape or
+    already filled, that is hold larger contents.  Every cell is filled once
+    and every pair of adjacent cells is checked when its smaller cell is
+    filled, so on each yielded filling this is a full standardness check,
+    and the statistics read `pos` without validating again.  A failure
+    raises AlgorithmError.
     """
     n = s.size
-    inner, length = _free_region(s)
+    inner, outer = _free_region(s)
     # Free cells hold 0 and inner cells None; above[i] is the row over row
     # i, an empty one over the top row.
     rows = [[None] * q + [0] * (p - q) for p, q in zip(s.outer, inner)]
     above = rows[1:] + [[]]
     pos: list[Cell] = [(0, 0)] * (n + 1)
-    placed: list[int] = []
+    if not n:
+        yield rows, pos
+        return
 
-    def place(i: int) -> None:
-        row, up, j = rows[i], above[i], length[i] - 1
-        k = n - len(placed)
-        if row[j] != 0 or (j + 1 < len(row) and row[j + 1] == 0) or (j < len(up) and up[j] == 0):
-            raise AlgorithmError(f"content {k} offered to cell ({i + 1},{j + 1}) of the partial filling {rows}")
-        row[j] = k
-        pos[k] = (i + 1, j + 1)
-        length[i] = j
-        placed.append(i)
+    def move(i: int, after: tuple[int, ...]) -> _Move:
+        return rows[i], above[i], after[i], (i + 1, after[i] + 1), after
 
-    def unplace() -> None:
-        i = placed.pop()
-        rows[i][length[i]] = 0
-        length[i] += 1
+    table: dict[tuple[int, ...], list[_Move]] = {}
 
+    def moves(lengths: tuple[int, ...]) -> list[_Move]:
+        """The moves from a free-region state, worked out on its first visit."""
+        found = table.get(lengths)
+        if found is None:
+            found = table[lengths] = [move(i, after) for i, after in _placements(inner, lengths)]
+        return found
+
+    forced: list[list[_Move]] = []  # the one move of each content the prefix places
+    lengths = start = tuple(outer)
     for i in prefix:
-        place(i)
-    stack: list[list[int]] = []  # the untried rows at each depth below the prefix
-    while True:
-        if len(placed) == n:
-            yield rows, pos
-            stack.append([])
+        lengths = lengths[:i] + (lengths[i] - 1,) + lengths[i + 1 :]
+        forced.append([move(i, lengths)])
+    # frames[d] iterates the moves of content n - d: a placement descends
+    # to the next content, and an exhausted frame backtracks one content.
+    frames = [iter(forced[0] if forced else moves(start))]
+    filled: list[tuple[list[int | None], int]] = []  # the row and column of each content placed, n first
+    k = n
+    while frames:
+        for row, up, j, cell, after in frames[-1]:
+            if row[j] != 0 or (j + 1 < len(row) and row[j + 1] == 0) or (j < len(up) and up[j] == 0):
+                raise AlgorithmError(f"content {k} offered to cell ({cell[0]},{cell[1]}) of the partial filling {rows}")
+            row[j] = k
+            pos[k] = cell
+            if k == 1:
+                yield rows, pos
+                row[j] = 0
+                continue
+            filled.append((row, j))
+            k -= 1
+            frames.append(iter(forced[n - k] if n - k < len(forced) else moves(after)))
+            break
         else:
-            stack.append(_corner_rows(inner, length))
-        while not stack[-1]:
-            stack.pop()
-            if not stack:
-                return
-            unplace()
-        place(stack[-1].pop())
+            frames.pop()
+            if filled:
+                row, j = filled.pop()
+                row[j] = 0
+                k += 1
 
 
 def enumerate_syt(s: Shape) -> Iterator[Tableau]:

@@ -141,6 +141,32 @@ class TestCounting:
                 statistic_values(s, names)
         assert main(["enumerate", "--shape", "2,2", "--check"]) == 3
 
+    @pytest.mark.parametrize("count", [1, 4, 64])
+    @pytest.mark.parametrize("text", ["4,3,1", "4,3,2/2", "2,2/1", "3,3/3", ""])
+    def test_prefix_chunks_join_into_the_serial_pass(self, text, count):
+        # 3,3/3 is not normalised: its bottom row is all inner cells.
+        s = parse_shape(text) if text else Shape(())
+
+        def copied(fillings):
+            return [([list(row) for row in rows], list(pos)) for rows, pos in fillings]
+
+        chunks = [copied(enumeration._fillings(s, prefix)) for prefix in enumeration._prefixes(s, count)]
+        assert [filling for chunk in chunks for filling in chunk] == copied(enumeration._fillings(s))
+
+    @pytest.mark.parametrize(
+        "text,prefix,content,cell",
+        [
+            ("2,2", (0,), 4, (1, 2)),  # (2,2) above it is still free
+            ("4,3,1", (0, 0), 7, (1, 3)),  # so is (2,3) above it
+            ("4,3,1", (2, 1, 0, 0, 0), 4, (1, 2)),  # and (2,2), after four corners
+            ("3,3/3", (0,), 3, (1, 3)),  # row 1 has no free cell
+        ],
+    )
+    def test_placement_guard_rejects_a_prefix_row_that_is_not_a_corner(self, text, prefix, content, cell):
+        message = rf"^content {content} offered to cell \({cell[0]},{cell[1]}\) "
+        with pytest.raises(AlgorithmError, match=message):
+            next(enumeration._fillings(parse_shape(text), prefix))
+
 
 class TestPartitionsAndCatalog:
     def test_partitions_of_small(self):

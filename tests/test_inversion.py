@@ -1,6 +1,7 @@
 """Lattice paths, side classification, cycling maps, and the inversion
 statistic, including its north-east (comaj) counterpart."""
 
+import functools
 import itertools
 import random
 
@@ -305,6 +306,38 @@ class TestNeVariant:
     def test_comaj_map_fixes_cell_of_one(self):
         for t in enumerate_syt(parse_shape("3,2,1")):
             assert comaj_map(t).positions()[1] == t.positions()[1]
+
+
+def _open_rectangles(s):
+    """N(s): the pairs of cells (p, q) of s with q strictly north-east of p
+    and the cell in q's row and p's column not in s (0 on straight shapes)."""
+    cells = s.cells()
+    return sum(1 for p in cells for q in cells if q[0] > p[0] and q[1] > p[1] and (q[0], p[1]) not in s)
+
+
+class TestTranspose:
+    def test_maps_commute_with_conjugation_and_statistics_sum_to_a_constant(self):
+        # Observed, not from the paper.  On every SYT of skew_catalog(6),
+        # inv, cinv and maj each sum over t and its transpose to
+        # C(n,2) - N(s).  For n <= 5 every pivot step psi_k that moves
+        # anything (k >= 3), phi and comaj_map commute with the transpose;
+        # at n = 6 the composite psi does.  These bounds keep the test near
+        # 3 s on a 2-core x86-64 host.
+        def transposed(u):
+            return [(j, i) for i, j in u.positions()]
+
+        for s in skew_catalog(6):
+            total = s.size * (s.size - 1) // 2 - _open_rectangles(s)
+            if s.size <= 5:
+                maps = [phi, comaj_map] + [functools.partial(psi_k, k=k) for k in range(3, s.size + 1)]
+            else:
+                maps = [psi]
+            for t in enumerate_syt(s):
+                c = model.conjugate(t)
+                for f in maps:
+                    assert f(c).positions() == transposed(f(t)), (f, t)
+                for stat in (inv_statistic, cinv_statistic, maj):
+                    assert stat(t) + stat(c) == total, (stat.__name__, t)
 
 
 UNNORMALIZED = ("2,2/2", "3,3/1,1", "3,3,3/3", "3,3,1/1,1,1")
