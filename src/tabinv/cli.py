@@ -5,11 +5,17 @@ Exit codes, mapped in `main` alone: 0 success or `--help`, 1 bad input (a
 usage error included), 2 verification failure, 3 internal error (an
 `AlgorithmError`, which signals a bug). Every command builds one record,
 the dict `--format json` prints, and renders its text lines from it.
+
+One table, `_COMMANDS`, holds each command's handler, help string and
+options: `_parse` reads argv against it, as argparse read it, and
+`_print_help` renders it.  The CLI imports no argparse, which with the
+gettext and locale modules it loads would double a cold start.
 """
 
 from __future__ import annotations
 
 import sys
+from types import SimpleNamespace
 
 from .enumeration import (
     REPORT_VALUES,
@@ -31,6 +37,7 @@ from .foata import (
 )
 from .inversion import AlgorithmError, inv_code, inv_statistic, inversion_path_set, map_trace
 from .model import (
+    _decimal,
     format_shape,
     parse_shape,
     parse_tableau_text,
@@ -233,65 +240,259 @@ def cmd_render(args) -> int:
     return 0
 
 
-def build_parser():
-    """The `tabinv` argument parser."""
-    import argparse  # here, not at the top: importing this module without running main never pays for it
+def _workers(text: str) -> int:
+    """--par's value, read by the one number rule (`model._decimal`)."""
+    try:
+        return _decimal(text)
+    except ValueError:
+        raise ValueError(f"--par must be at least 1, written in the digits 0-9 alone: {text!r}") from None
 
-    parser = argparse.ArgumentParser(
-        prog="tabinv",
-        description="Tableau inversion statistics and cycling bijections.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=["text", "json"], default="text")
+class _Option:
+    """One option of a command, for the parser and the help.  A flag takes
+    no value and sets True; any other option takes one value, which must be
+    one of `choices` when there are any, and which `read` turns into the
+    handler's value."""
 
-    p = sub.add_parser("stats", help="statistics of one tableau")
-    p.add_argument("--input", required=True, help="tableau file or '-' for stdin")
-    p.add_argument("--paths", action="store_true", help="also print inversion paths")
-    p.add_argument("--pairs", action="store_true", help="also print inversion pairs")
-    add_format(p)
-    p.set_defaults(func=cmd_stats)
+    __slots__ = ("name", "help", "flag", "default", "choices", "required", "read", "spelled")
 
-    p = sub.add_parser("map", help="apply the cycling bijection")
-    p.add_argument("--input", required=True)
-    p.add_argument("--direction", choices=["forward", "inverse"], default="forward")
-    p.add_argument("--trace", action="store_true", help="print every pivot stage")
-    add_format(p)
-    p.set_defaults(func=cmd_map)
+    def __init__(self, name, help="", *, flag=False, default=None, choices=(), required=False, metavar=None, read=str):
+        self.name, self.help, self.flag, self.choices = name, help, flag, choices
+        self.default = False if flag else default
+        self.required, self.read = required, read
+        metavar = metavar or ("{" + ",".join(choices) + "}" if choices else name[2:].upper())
+        self.spelled = name if flag else f"{name} {metavar}"  # as usage and help show it
 
-    p = sub.add_parser("enumerate", help="distributions over all SYT of a shape")
-    p.add_argument("--shape", required=True, help='e.g. "3,2" or "3,2/1"')
-    p.add_argument("--stat", default="maj,inv", help="comma list of statistics")
-    p.add_argument("--check", action="store_true", help="verify equidistribution")
-    p.add_argument("--par", type=int, default=1, metavar="N", help="worker processes")
-    add_format(p)
-    p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("foata", help="classical bijection on permutations")
-    p.add_argument("--perm", required=True, help='e.g. "4137562" or "4,1,3,7,5,6,2"')
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--inverse", action="store_true")
-    mode.add_argument("--bridge", action="store_true", help="three-route comparison")
-    add_format(p)
-    p.set_defaults(func=cmd_foata)
+_INPUT = _Option("--input", "tableau file or '-' for stdin", required=True)
+_FORMAT = _Option("--format", default="text", choices=("text", "json"))
 
-    p = sub.add_parser("render", help="aligned display of a tableau")
-    p.add_argument("--input", required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_render)
+# The commands: handler, help string, options, and the options that
+# exclude each other.  `_parse` reads argv against it and `_print_help`
+# renders it.
+_COMMANDS = {
+    "stats": (
+        cmd_stats,
+        "statistics of one tableau",
+        (
+            _INPUT,
+            _Option("--paths", "also print inversion paths", flag=True),
+            _Option("--pairs", "also print inversion pairs", flag=True),
+            _FORMAT,
+        ),
+        (),
+    ),
+    "map": (
+        cmd_map,
+        "apply the cycling bijection",
+        (
+            _INPUT,
+            _Option("--direction", default="forward", choices=("forward", "inverse")),
+            _Option("--trace", "print every pivot stage", flag=True),
+            _FORMAT,
+        ),
+        (),
+    ),
+    "enumerate": (
+        cmd_enumerate,
+        "distributions over all SYT of a shape",
+        (
+            _Option("--shape", 'e.g. "3,2" or "3,2/1"', required=True),
+            _Option("--stat", "comma list of statistics", default="maj,inv"),
+            _Option("--check", "verify equidistribution", flag=True),
+            _Option("--par", "worker processes", default=1, metavar="N", read=_workers),
+            _FORMAT,
+        ),
+        (),
+    ),
+    "foata": (
+        cmd_foata,
+        "classical bijection on permutations",
+        (
+            _Option("--perm", 'e.g. "4137562" or "4,1,3,7,5,6,2"', required=True),
+            _Option("--inverse", flag=True),
+            _Option("--bridge", "three-route comparison", flag=True),
+            _FORMAT,
+        ),
+        ("--inverse", "--bridge"),
+    ),
+    "render": (cmd_render, "aligned display of a tableau", (_INPUT, _FORMAT), ()),
+}
 
-    return parser
+
+class _UsageError(Exception):
+    """argv that the parser of a command (None: the top level) cannot read;
+    args are that command and the message."""
+
+
+def _options(command) -> dict:
+    """The options of a command's parser by name, `-h` and `--help` (None)
+    first; the top-level parser has these two alone."""
+    options = {"-h": None, "--help": None}
+    if command is not None:
+        options.update((o.name, o) for o in _COMMANDS[command][2])
+    return options
+
+
+def _is_negative_number(tok: str) -> bool:
+    """tok is "-" and then digits, with at most one "." before the last."""
+    whole, dot, frac = tok[1:].partition(".")
+    return (not dot and whole.isdecimal()) or (bool(dot) and (not whole or whole.isdecimal()) and frac.isdecimal())
+
+
+def _classify(command, tok: str):
+    """What one token is to the parser of a command, read as argparse reads
+    it: None for a value, or else (name, explicit) for an option, name None
+    when no option matches and explicit the text after `=` or `-h`, None
+    when there is none.  A long option may be a unique prefix of its name."""
+    names = _options(command)
+    if tok[:1] != "-" or tok == "-":
+        return None
+    if tok in names:
+        return tok, None
+    head, eq, explicit = tok.partition("=")
+    if eq and head in names:
+        return head, explicit
+    if tok[1] == "-":
+        found = [name for name in names if name.startswith(head)]
+        if len(found) > 1:
+            raise _UsageError(command, f"ambiguous option: {tok} could match {', '.join(found)}")
+        if found:
+            return found[0], explicit if eq else None
+    elif tok[:2] in names:
+        return tok[:2], tok[2:]
+    # A negative number, or a token with a space, is a value.
+    if _is_negative_number(tok) or " " in tok:
+        return None
+    return None, None
+
+
+def _check_flag(command, name: str, explicit) -> None:
+    """A flag takes no value.  `-hh` passes: a run of short flags after one
+    dash, and `-h` is the only short one."""
+    if explicit is not None and not (name == "-h" and explicit and set(explicit) == {"h"}):
+        raise _UsageError(command, f"argument {name}: ignored explicit argument {explicit!r}")
+
+
+def _parse(argv: list[str]):
+    """(handler, argument) for argv: a command's handler and the options it
+    reads, or `_print_help` and the command whose help argv asks for.
+    Raises _UsageError for argv that no command reads.
+
+    argv is read as argparse read it: `--opt value` or `--opt=value`, a
+    unique prefix of an option, options in any order with the last repeat
+    winning, and `-h`/`--help` anywhere.  Tokens are read in order, so a
+    usage error before the help still counts; a missing required option
+    does not.
+    """
+    unknown = []
+    for at, tok in enumerate(argv):
+        kind = None if tok == "--" else _classify(None, tok)
+        if kind is None:
+            break
+        name, explicit = kind
+        if name is None:
+            unknown.append(tok)
+        else:
+            _check_flag(None, name, explicit)
+            return _print_help, None
+    else:
+        raise _UsageError(None, "the following arguments are required: command")
+    command = argv[at]
+    if command not in _COMMANDS:
+        choices = ", ".join(repr(name) for name in _COMMANDS)
+        raise _UsageError(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    handler, _, options, exclusive = _COMMANDS[command]
+    names = _options(command)
+    rest = argv[at + 1 :]
+    # No option reads a token from "--" on, and there is nothing else to read it.
+    end = rest.index("--") if "--" in rest else len(rest)
+    unknown += rest[end:]
+    kinds = [_classify(command, tok) for tok in rest[:end]]
+    values = {o.name: o.default for o in options}
+    i = 0
+    while i < end:
+        kind, i = kinds[i], i + 1
+        if kind is None or kind[0] is None:
+            unknown.append(rest[i - 1])
+            continue
+        name, explicit = kind
+        option = names[name]
+        if option is None or option.flag:
+            _check_flag(command, name, explicit)
+            if option is None:
+                return _print_help, command
+            value = True
+        else:
+            if explicit is None:
+                if i == end or kinds[i] is not None:
+                    raise _UsageError(command, f"argument {name}: expected one argument")
+                explicit, i = rest[i], i + 1
+            if option.choices and explicit not in option.choices:
+                choices = ", ".join(repr(c) for c in option.choices)
+                raise _UsageError(command, f"argument {name}: invalid choice: {explicit!r} (choose from {choices})")
+            try:
+                value = option.read(explicit)
+            except ValueError as e:
+                raise _UsageError(command, str(e)) from None
+        clash = [other for other in exclusive if name in exclusive and other != name and values[other]]
+        if clash:
+            raise _UsageError(command, f"argument {name}: not allowed with argument {clash[0]}")
+        values[name] = value
+    missing = [o.name for o in options if o.required and values[o.name] is None]
+    if missing:
+        raise _UsageError(command, f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise _UsageError(command, f"unrecognized arguments: {' '.join(unknown)}")
+    return handler, SimpleNamespace(**{name[2:]: value for name, value in values.items()})
+
+
+def _usage(command) -> str:
+    if command is None:
+        return "usage: tabinv [-h] {" + ",".join(_COMMANDS) + "} ..."
+    _, _, options, exclusive = _COMMANDS[command]
+    parts, group = ["[-h]"], []
+    for o in options:
+        if o.name in exclusive:
+            group.append(o.spelled)
+            if len(group) == len(exclusive):
+                parts.append("[" + " | ".join(group) + "]")
+        else:
+            parts.append(o.spelled if o.required else f"[{o.spelled}]")
+    return f"usage: tabinv {command} " + " ".join(parts)
+
+
+def _print_help(command) -> int:
+    """Print the help of a command, or of tabinv itself when None."""
+    sections = []
+    if command is None:
+        about, options = "Tableau inversion statistics and cycling bijections.", ()
+        sections.append(("commands", [(name, entry[1]) for name, entry in _COMMANDS.items()]))
+    else:
+        _, about, options, _ = _COMMANDS[command]
+    rows = [("-h, --help", "show this help and exit")]
+    for o in options:
+        text = o.help if o.flag or o.default is None else f"{o.help} (default: {o.default})".lstrip()
+        rows.append((o.spelled, text))
+    sections.append(("options", rows))
+    width = max(len(left) for _, rows in sections for left, _ in rows) + 2
+    lines = [_usage(command), "", about]
+    for title, rows in sections:
+        lines += ["", f"{title}:"] + [f"  {left:<{width}}{text}".rstrip() for left, text in rows]
+    print("\n".join(lines))
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except SystemExit as e:
-        # argparse exits 0 after --help and 2 on a usage error; a usage
-        # error is bad input, and 2 means a failed verification.
-        return 0 if e.code == 0 else 1
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+    except _UsageError as e:
+        command, message = e.args
+        prog = "tabinv" if command is None else f"tabinv {command}"
+        print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+        return 1
+    try:
+        return handler(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

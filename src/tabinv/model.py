@@ -274,14 +274,11 @@ def make_tableau(shape: Shape, rows: list[list[int | None]]) -> Tableau:
 
 
 def conjugate(t: Tableau) -> Tableau:
-    """Transpose across the main diagonal; content of (i,j) moves to (j,i)."""
-    shape = t.shape.conjugate()
-    rows: list[list[int | None]] = [
-        [None] * shape.outer[i - 1] for i in range(1, shape.n_rows + 1)
-    ]
-    for (i, j) in t.shape.cells():
-        rows[j - 1][i - 1] = t.content((i, j))
-    return make_tableau(shape, rows)
+    """Transpose across the main diagonal; content of (i,j) moves to (j,i).
+    Column j of the rows, inner placeholders included, is row j of the
+    transpose."""
+    rows = [[row[j] for row in t.rows if j < len(row)] for j in range(t.shape.width)]
+    return make_tableau(t.shape.conjugate(), rows)
 
 
 def rotate_complement(t: Tableau) -> Tableau:

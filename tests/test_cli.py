@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import random_syt
 import tabinv
+import tabinv.cli as cli
 from conftest import CLI_CASES, FIXTURES, GOLDEN, run_cli_case
 from tabinv.cli import main
 from tabinv.model import (
@@ -29,7 +30,34 @@ from tabinv.model import (
 )
 
 
-@pytest.mark.parametrize("golden_name,argv", CLI_CASES, ids=[c[0] for c in CLI_CASES])
+def _spelled(argv, style):
+    """argv with each option written as `--opt=value` ("eq") or as its
+    shortest prefix that no other option of the command starts with
+    ("prefix")."""
+    options = {o.name: o for o in cli._COMMANDS[argv[0]][2]}
+    names = [*options, "--help"]
+    out, rest = argv[:1], iter(argv[1:])
+    for tok in rest:
+        option = options[tok]
+        if style == "prefix":
+            size = next(k for k in range(3, len(tok) + 1) if [n for n in names if n.startswith(tok[:k])] == [tok])
+            out.append(tok[:size])
+            if not option.flag:
+                out.append(next(rest))
+        else:
+            out.append(tok if option.flag else f"{tok}={next(rest)}")
+    return out
+
+
+_GOLDEN_CASES = [pytest.param(name, argv, id=name) for name, argv in CLI_CASES]
+_GOLDEN_CASES += [
+    pytest.param(name, _spelled(argv, style), id=f"{name}-{style}-form")
+    for style in ("eq", "prefix")
+    for name, argv in CLI_CASES
+]
+
+
+@pytest.mark.parametrize("golden_name,argv", _GOLDEN_CASES)
 def test_golden(golden_name, argv, capsys):
     out = run_cli_case(argv, capsys)
     expected = (GOLDEN / golden_name).read_text()
@@ -89,7 +117,7 @@ import io, sys
 from contextlib import redirect_stdout
 
 sys.path.insert(0, {src!r})
-HEAVY = ("concurrent.futures", "multiprocessing", "json", "dataclasses", "inspect", "argparse")
+HEAVY = ("concurrent.futures", "multiprocessing", "json", "dataclasses", "inspect", "argparse", "gettext", "locale")
 seen = set(sys.modules)
 report = {{}}
 
@@ -116,6 +144,8 @@ run("map", ["map", "--input", {straight!r}, "--trace"])
 run("foata", ["foata", "--perm", "346251", "--bridge"])
 run("enumerate", ["enumerate", "--shape", "2,2/1", "--check"])
 report["serial out"] = run("serial", ["enumerate", "--shape", "3,2"])
+run("help", ["enumerate", "--help"])
+run("usage", ["enumerate", "--shape", "3,2", "--par", "x"])
 run("json", ["stats", "--input", {straight!r}, "--format", "json"])
 report["parallel out"] = run("parallel", ["enumerate", "--shape", "3,2", "--par", "2"])
 print(repr(report))
@@ -131,15 +161,21 @@ def test_cold_start_loads_no_pool_and_no_json():
     done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     report = ast.literal_eval(done.stdout)
-    # The import loads none of them; the first main call loads argparse.
+    # Neither the import nor a text-mode command loads any of them: the CLI
+    # parses argv without argparse, which would bring gettext and locale.
     assert report["import"] == []
-    for step in ("render", "stats", "map", "foata", "enumerate", "serial"):
-        assert report[step] == ["argparse"], f"{step} loaded {report[step]}"
-    for step in ("render", "stats", "map", "foata", "enumerate", "serial", "json", "parallel"):
+    # Each step lists what has loaded since before the import; help and a
+    # usage error run before the json and --par steps, and load nothing either.
+    for step in ("render", "stats", "map", "foata", "enumerate", "serial", "help", "usage"):
+        assert report[step] == [], f"{step} loaded {report[step]}"
+    for step in ("render", "stats", "map", "foata", "enumerate", "serial", "help", "json", "parallel"):
         assert report[step + " exit"] == 0, step
-    assert report["json"] == ["argparse", "json"]
+    assert report["usage exit"] == 1
+    assert report["json"] == ["json"]
     pool = ["concurrent.futures", "multiprocessing"] if report["cpus"] > 1 else []
-    assert report["parallel"] == sorted(["argparse", "json"] + pool)
+    # The pool imports subprocess, which may import locale itself.
+    parallel = [m for m in report["parallel"] if not (pool and m == "locale")]
+    assert parallel == sorted(["json"] + pool)
     assert report["parallel out"] == report["serial out"]
 
 
@@ -403,20 +439,109 @@ def test_internal_error_in_enumerate_exits_3(capsys, bad_cycle):
         ["bogus"],
         ["map", "--input", str(FIXTURES / "straight_2x2.txt"), "--direction", "sideways"],
         ["foata", "--perm", "4137562", "--inverse", "--bridge"],
+        # --par reads its value by the digits rule of every number tabinv reads.
+        ["enumerate", "--shape", "3,2", "--par", "1_0"],
+        ["enumerate", "--shape", "3,2", "--par", "+2"],
+        ["enumerate", "--shape", "3,2", "--par", "\u0662"],
+        ["enumerate", "--shape"],
+        ["stats", "--input", "--paths"],
+        ["enumerate", "--shape", "3,2", "--check=yes"],
+        ["enumerate", "--s", "3,2"],
+        ["enumerate", "--shape", "3,2", "--charge"],
+        [],
+        # A usage error before --help still counts.
+        ["foata", "--perm", "4137562", "--bridge", "--inverse", "--help"],
     ],
-    ids=["missing-shape", "par-abc", "unknown-subcommand", "direction-sideways", "foata-inverse-bridge"],
+    ids=[
+        "missing-shape",
+        "par-abc",
+        "unknown-subcommand",
+        "direction-sideways",
+        "foata-inverse-bridge",
+        "par-underscore",
+        "par-sign",
+        "par-arabic-indic-digit",
+        "missing-value",
+        "option-as-value",
+        "flag-given-a-value",
+        "ambiguous-prefix",
+        "unknown-option",
+        "empty-argv",
+        "error-before-help",
+    ],
 )
 def test_usage_error_is_a_user_error(argv, capsys):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "usage:" in captured.err
+    usage, *rest = captured.err.splitlines()
+    assert usage.startswith("usage: tabinv")
+    assert len(rest) == 1 and ": error: " in rest[0]
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["enumerate", "--help"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["enumerate", "--help"],
+        ["enumerate", "--stat", "maj", "-h"],
+        ["foata", "--he", "--inverse", "--bridge"],
+        ["stats", "--bogus", "-hh"],
+        ["-h", "bogus"],
+        # The name before "=" is read whole before any prefix: -h with "h".
+        ["render", "-h=h"],
+    ],
+)
 def test_help_exits_0(argv, capsys):
     assert main(argv) == 0
-    assert "usage:" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage:")
+    assert captured.err == ""
+
+
+def test_help_documents_the_command_table(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    for name, (_, about, _, _) in cli._COMMANDS.items():
+        assert re.search(rf"^  {name} +{re.escape(about)}$", out, re.M), name
+    for name, (_, about, options, _) in cli._COMMANDS.items():
+        assert main([name, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: tabinv {name} [-h] ")
+        assert about in out
+        for o in options:
+            line = next(line for line in out.splitlines() if line.startswith(f"  {o.name}"))
+            assert o.help in line
+            for choice in o.choices:
+                assert choice in line
+
+
+_FORMATS = [
+    ["map", "--input", str(FIXTURES / "skew_22_1.txt"), "--format", "json"],
+    ["enumerate", "--shape", "3,3", "--par", "2", "--format", "json"],
+    ["foata", "--perm", "346251", "--bridge", "--format", "json"],
+    ["render", "--input", str(FIXTURES / "skew_22_1.txt"), "--format", "json"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv,same_as",
+    [(_spelled(argv, style), argv) for argv in _FORMATS for style in ("eq", "prefix")]
+    + [
+        # options in any order, the last repeat winning
+        (
+            ["enumerate", "--format", "json", "--stat", "maj", "--shape", "9", "--format=text", "--shape", "3,2"],
+            ["enumerate", "--shape", "3,2", "--stat", "maj"],
+        ),
+        (["enumerate", "--shape", "3,2", "--stat="], ["enumerate", "--shape", "3,2", "--stat", ""]),
+        (["foata", "--inverse", "--inverse", "--perm", "7143562"], ["foata", "--perm", "7143562", "--inverse"]),
+    ],
+)
+def test_option_spellings_mean_the_same(argv, same_as, capsys):
+    """The golden cases pin each option in the `--opt=value` and prefix
+    spellings; these add the options the goldens do not use, and argv in
+    other orders."""
+    assert _run(argv, capsys) == _run(same_as, capsys)
 
 
 def _run(argv, capsys):
