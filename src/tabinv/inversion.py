@@ -19,8 +19,11 @@ contents.  The forward step finds its blocks in one scan of the contents
 grows (`_Grid.phi_step`), and cycling a block rotates the slice pos[a:b] one
 place and writes its contents back to their new cells (`_Grid.cycle`).  A
 step returns only the blocks it cycled; `_partition` rebuilds the rest.
-Only `_Grid.heights` decides how a path crosses absent cells: the reverse
-step's path stops at the first one, since every cell beyond it is inner.
+Every path stops at its first absent neighbour, the border included, and
+runs South and then West from there (`_Grid.heights`): each cell weakly
+south-west of that point is inner, so that tail decides no content, and
+the paper's abstract (PAPER.md) does not fix it.  Paths are only outputs:
+a function that needs one works it out from the tableau and the pivot.
 
 The inversion statistic is counted from the paths the forward cascade
 records (`_Cascade`): each path counts the cells below it (`_below`), with
@@ -68,14 +71,6 @@ class BlockPartition(NamedTuple):
     blocks: tuple[tuple[Cell, ...], ...]
 
 
-def classify_side(path: LatticePath, cell: Cell) -> str:
-    """BELOW (weakly SE) or ABOVE (weakly NW) for an SW path to the origin."""
-    i, j = cell
-    if j < 1:
-        raise AlgorithmError(f"cell {cell} undetermined against complete path {path}")
-    return BELOW if i <= _path_heights(path, j)[j] else ABOVE
-
-
 def _lattice_path(cell: Cell, h: list[int]) -> LatticePath:
     """The SW path from the lower-left corner of cell with column heights h."""
     i, j = cell
@@ -85,23 +80,6 @@ def _lattice_path(cell: Cell, h: list[int]) -> LatticePath:
         y = h[x]
     steps.append("S" * y)
     return LatticePath((j - 1, i - 1), "".join(steps))
-
-
-def _path_heights(path: LatticePath, width: int) -> list[int]:
-    """The inverse of `_lattice_path`: the column heights, for columns up to
-    at least `width`, of an SW path that ends at the origin.  Columns east
-    of the start get the row of the start cell."""
-    x, y = path.start
-    if set(path.steps) - {"S", "W"} or (path.steps.count("W"), path.steps.count("S")) != (x, y):
-        raise AlgorithmError(f"path {path} is not an SW path to the origin")
-    h = [y + 1] * (max(width, x) + 1)
-    for st in path.steps:
-        if st == "W":
-            h[x] = y
-            x -= 1
-        else:
-            y -= 1
-    return h
 
 
 def _blocks(pos: list[Cell], h: list[int], k: int) -> list[tuple[int, int]]:
@@ -141,10 +119,10 @@ class _Grid:
     g[i][j] is the content of cell (i, j) and 0 outside the shape, with a
     border of zeros on every side; pos[c] is the cell holding content c.
     A grid built `turned` starts as the grid of the filling's
-    rotate_complement.
-    `absent` is what a path reads outside the shape: 0, or n+1 once turned.
-    A pivot step cycles blocks of consecutive contents (`cycle`) and then
-    checks the contents it moved (`check`).
+    rotate_complement.  No path reads past its first absent neighbour
+    (`heights`), so absent cells hold 0 either way.  A pivot step cycles
+    blocks of consecutive contents (`cycle`) and then checks the contents
+    it moved (`check`).
     """
 
     def __init__(self, shape: Shape, pos: list[Cell], turned: bool = False):
@@ -155,8 +133,8 @@ class _Grid:
         positions and the enumerator's guarded ones are.  pos is copied,
         so the caller may go on changing it."""
         rows, cols = shape.n_rows, shape.width
-        pos, absent = (_turned(shape, pos), len(pos)) if turned else (list(pos), 0)
-        self.filled, self.width, self.pos, self.absent = shape, cols, pos, absent
+        pos = _turned(shape, pos) if turned else list(pos)
+        self.filled, self.width, self.pos, self.turned = shape, cols, pos, turned
         self.g = g = [[0] * (cols + 2) for _ in range(rows + 2)]
         for c in range(1, len(pos)):
             i, j = pos[c]
@@ -168,7 +146,7 @@ class _Grid:
         shape that `model._turned` puts its cells in (`model._rotated_shape`);
         only `tableau` and a failed `check` ask for it, so a count never turns it."""
         s = self.filled
-        return _rotated_shape(s) if self.absent else s
+        return _rotated_shape(s) if self.turned else s
 
     def rows(self) -> tuple[tuple[int | None, ...], ...]:
         """The grid's contents as `Tableau.rows` holds them, unvalidated."""
@@ -183,21 +161,27 @@ class _Grid:
 
     def heights(self, k: int) -> list[int]:
         """Column heights of the SW path from the lower-left corner of the
-        cell of k.  At each interior corner the path steps West when the
-        content to the left beats the content below, else South; absent
-        cells count as `absent`.  So a tie, which only a double absence
-        makes, steps South: South on the SW grid, and North once a turned
-        grid's path is turned back into an NE path."""
-        g, absent = self.g, self.absent
+        cell of k.  At each corner it steps West when the content up and to
+        the left beats the one down and to the right, else South, until one
+        of them is absent (the border included), as in `phi_step`.  Every
+        cell weakly south-west of that point is inner, so the rest decides
+        no content: it runs South to the x-axis and then West, a tail that
+        PAPER.md (the abstract alone) does not fix."""
+        g = self.g
         r, s = self.pos[k]
         h = [r] * (self.width + 1)
         x, y = s - 1, r - 1
-        while x:
-            if y and (g[y + 1][x] or absent) <= (g[y][x + 1] or absent):
-                y -= 1
-            else:
+        up, row = g[r], g[y]  # rows y+1 and y, either side of the point (x, y)
+        while (left := up[x]) and (below := row[x + 1]):
+            if left > below:
                 h[x] = y
                 x -= 1
+            else:
+                y -= 1
+                up, row = row, g[y]
+        while x:  # the tail at height 0; a loop is cheaper than a slice on short tails
+            h[x] = 0
+            x -= 1
         return h
 
     def cycle(self, blocks: list[tuple[int, int]], forward: bool = True) -> None:
@@ -334,9 +318,10 @@ def _check_pivot(t: Tableau, k: int, what: str = "pivot") -> None:
 def inversion_path(t: Tableau, k: int) -> LatticePath:
     """The SW lattice path from the lower-left corner of the cell holding k.
 
-    At each interior corner the path steps toward the larger of the two
-    neighbor contents below and to the left; absent cells count as 0 and a
-    double absence steps South.  The path ends at the origin.
+    At each corner the path steps toward the larger of the two neighbour
+    contents below and to the left.  It stops at its first absent
+    neighbour and runs South, then West, to the origin: every cell past
+    that point is inner, so the tail decides no content (`_Grid.heights`).
 
     This is the path on t itself.  The path that `inversion_path_set(t)`
     records for the cell holding k is taken later in the cascade, so the two
@@ -347,26 +332,32 @@ def inversion_path(t: Tableau, k: int) -> LatticePath:
     return _lattice_path(grid.pos[k], grid.heights(k))
 
 
-def forward_blocks(t: Tableau, k: int, path: LatticePath) -> BlockPartition:
-    """Partition of the contents below k into cycling blocks.
+def forward_blocks(t: Tableau, k: int) -> BlockPartition:
+    """Partition of the contents below k into cycling blocks along k's path.
 
     Scanned in increasing content order: a content on the anchor side (the
     side of the cell holding 1) opens a block, one on the other side extends
     the current block.
     """
     _check_pivot(t, k)
-    return _sw_blocks(_Grid(t.shape, t.positions()), k, path)
+    return _sw_blocks(_Grid(t.shape, t.positions()), k)
 
 
-def _sw_blocks(grid: _Grid, k: int, path: LatticePath) -> BlockPartition:
+def _sw_blocks(grid: _Grid, k: int) -> BlockPartition:
     """`forward_blocks` on the contents of a grid."""
-    pos = grid.pos
-    if path.start != (pos[k][1] - 1, pos[k][0] - 1):
-        raise AlgorithmError(f"path {path} does not start at the cell of {k}")
-    h = _path_heights(path, grid.width)
+    pos, h = grid.pos, grid.heights(k)
     i, j = pos[1]
     blocks = tuple(tuple(pos[a:b]) for a, b in _partition(_blocks(pos, h, k), k))
     return BlockPartition(k, BELOW if i <= h[j] else ABOVE, blocks)
+
+
+def classify_side(t: Tableau, k: int, cell: Cell) -> str:
+    """BELOW (weakly SE) or ABOVE (weakly NW) of k's path, for a cell of t."""
+    _check_pivot(t, k, "content")
+    if cell not in t.shape:
+        raise ValueError(f"cell {cell} not in shape {t.shape}")
+    i, j = cell
+    return BELOW if i <= _Grid(t.shape, t.positions()).heights(k)[j] else ABOVE
 
 
 class MapStage(NamedTuple):
@@ -580,7 +571,7 @@ def _turned_back(shape: Shape, pos: list[Cell]) -> dict[Cell, Cell]:
 
 
 def _rotate_path(shape: Shape, path: LatticePath) -> LatticePath:
-    """An SW path turned into an NE path of the rotated box, or back."""
+    """An SW path of the turned grid as the NE path of the box of shape."""
     x, y = path.start
     return LatticePath((shape.width - x, shape.n_rows - y), path.steps.translate(_ROTATED_STEPS))
 
@@ -589,10 +580,10 @@ def ne_inversion_path(t: Tableau, k: int) -> LatticePath:
     """The NE lattice path from the upper-right corner of the cell holding k.
 
     The exact mirror of the SW path under 180-degree rotation: steps East
-    when the content above beats the content to the right (absent cells
-    count 0, double absence steps North) and ends, clamped at the bounding
-    box border, in the box's upper-right corner.  After complementing,
-    absent cells of the turned grid count as n+1 (`_Grid.absent`).
+    when the content above beats the content to the right, else North,
+    stops at its first absent neighbour and runs North, then East, to the
+    box's upper-right corner: every cell past that point is inner, so the
+    tail decides no content.
     """
     _check_pivot(t, k, "content")
     grid = _Grid(t.shape, t.positions(), turned=True)
@@ -600,13 +591,13 @@ def ne_inversion_path(t: Tableau, k: int) -> LatticePath:
     return _rotate_path(t.shape, _lattice_path(grid.pos[c], grid.heights(c)))
 
 
-def ne_blocks(t: Tableau, k: int, path: LatticePath) -> BlockPartition:
+def ne_blocks(t: Tableau, k: int) -> BlockPartition:
     """Blocks for the NE variant: contents above k scanned downward, anchored
     on the side holding the cell of n: the SW blocks of the turned grid,
     with their cells turned back, on the other side of the path."""
     _check_pivot(t, k)
     grid = _Grid(t.shape, t.positions(), turned=True)
-    bp = _sw_blocks(grid, t.n + 1 - k, _rotate_path(t.shape, path))
+    bp = _sw_blocks(grid, t.n + 1 - k)
     back = _turned_back(t.shape, grid.pos)
     blocks = tuple(tuple(map(back.get, block)) for block in bp.blocks)
     return BlockPartition(k, ABOVE if bp.anchor_side == BELOW else BELOW, blocks)

@@ -113,9 +113,10 @@ class Shape(_Checked, _ShapeFields):
 
 
 def _conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
-    if not parts:
-        return ()
-    return tuple(sum(1 for p in parts if p >= i) for i in range(1, parts[0] + 1))
+    cols: list[int] = []
+    for r in range(len(parts), 0, -1):  # the columns past part r+1, up to part r, are r long
+        cols += [r] * (parts[r - 1] - len(cols))
+    return tuple(cols)
 
 
 def _decimal(token: str) -> int:

@@ -36,8 +36,11 @@ CLI_CASES: list[tuple[str, list[str]]] = [
         "map_inverse_straight_2x2.txt",
         ["map", "--input", str(FIXTURES / "straight_2x2.txt"), "--direction", "inverse"],
     ),
-    # 3,2,1/2,1: the path of 3 runs where both neighbours of a corner are
-    # absent, so these pin the tie rules of the path and of its reconstruction.
+    # 3,2,1/2,1: the path of 3 meets a corner whose neighbours are both
+    # absent, so these pin the stop rule of the path and of its
+    # reconstruction: a path stops at its first absent neighbour, past which
+    # every cell is inner, and runs South then West, a tail that decides no
+    # content (the paper's abstract, PAPER.md, does not fix it).
     (
         "stats_skew_321_21.txt",
         ["stats", "--input", str(FIXTURES / "skew_321_21.txt"), "--paths"],
@@ -49,6 +52,13 @@ CLI_CASES: list[tuple[str, list[str]]] = [
     (
         "map_trace_inverse_skew_321_21.txt",
         ["map", "--input", str(FIXTURES / "skew_321_21.txt"), "--trace", "--direction", "inverse"],
+    ),
+    # 3,2/2 with rows ". . 1" / "2 3": the path of 3 meets one absent
+    # neighbour, so it prints SW where a corner rule that read absent cells
+    # as 0 printed WS.
+    (
+        "stats_skew_32_2.txt",
+        ["stats", "--input", str(FIXTURES / "skew_32_2.txt"), "--paths"],
     ),
     (
         "enumerate_check_skew_22_1.txt",

@@ -6,7 +6,8 @@ the largest content goes into each removable corner in descending row
 order, the rest of the shape is filled recursively, and every filling is
 validated in full.  `brute_force_count` is a counting oracle independent of
 the enumerator: it validates all n! placements.  `reference_path` walks the
-inversion path's corner rule on `Tableau.content`, without the kernel's grid.
+inversion path's corner rule and stop rule on `Tableau.content`, without
+the kernel's grid.
 `tableau_from_rows` is the tests' shorthand for a tableau, and
 `rotate_complement_into` their NE reference: a 180-degree turn with its own
 cell formula on `Tableau.content`, independent of `model._turned`."""
@@ -83,37 +84,33 @@ def reference_path(t: Tableau, k: int, north_east: bool = False) -> LatticePath:
     """The SW inversion path of content k, or its NE path, one corner at a time.
 
     At the lattice point (x, y) the two cells that decide the step are
-    (y+1, x), up and to the left, and (y, x+1), down and to the right; an
-    absent cell counts as 0.  The SW path, from the lower-left corner of the
-    cell of k to the origin, steps West when the first content is larger,
-    else South.  The NE path, from the upper-right corner to the corner of
-    the bounding box, steps East when the first is larger, else North.  So a
-    double absence steps South, and North for NE.  At the border of its box
-    a path has one way left."""
-
-    def content(i: int, j: int) -> int:
-        return t.content((i, j)) if (i, j) in t.shape else 0
-
-    (r, s), = [cell for cell in t.shape.cells() if t.content(cell) == k]
+    (y+1, x), up and to the left, and (y, x+1), down and to the right.  The
+    SW path, from the lower-left corner of the cell of k, steps West when
+    the first content is larger, else South; the NE path, from the
+    upper-right corner, steps East when the first is larger, else North.
+    Either stops at the first point where one of the two cells is absent,
+    the border of the bounding box included.  Every cell weakly south-west
+    of that point (north-east, for NE) is inner, so the rest decides no
+    content: the SW path runs South to the x-axis and then West to the
+    origin, the NE path North to the top of the box and then East to its
+    upper-right corner.  The paper's abstract (PAPER.md) does not fix that
+    tail."""
+    shape = t.shape
+    (r, s), = [cell for cell in shape.cells() if t.content(cell) == k]
     x, y = (s, r) if north_east else (s - 1, r - 1)
     start, steps = (x, y), []
+    while (y + 1, x) in shape and (y, x + 1) in shape:
+        first_larger = t.content((y + 1, x)) > t.content((y, x + 1))
+        if north_east:
+            steps.append("E" if first_larger else "N")
+            x, y = (x + 1, y) if first_larger else (x, y + 1)
+        else:
+            steps.append("W" if first_larger else "S")
+            x, y = (x - 1, y) if first_larger else (x, y - 1)
     if north_east:
-        width, height = t.shape.width, t.shape.n_rows
-        while (x, y) != (width, height):
-            if x < width and (y == height or content(y + 1, x) > content(y, x + 1)):
-                steps.append("E")
-                x += 1
-            else:
-                steps.append("N")
-                y += 1
+        steps.append("N" * (shape.n_rows - y) + "E" * (shape.width - x))
     else:
-        while (x, y) != (0, 0):
-            if x and (not y or content(y + 1, x) > content(y, x + 1)):
-                steps.append("W")
-                x -= 1
-            else:
-                steps.append("S")
-                y -= 1
+        steps.append("S" * y + "W" * x)
     return LatticePath(start, "".join(steps))
 
 

@@ -26,7 +26,6 @@ from tabinv import (
     forward_blocks,
     inv_code,
     inv_statistic,
-    inversion_path,
     make_tableau,
     maj,
     parse_permutation,
@@ -129,8 +128,7 @@ def test_criterion_05_descent_lemma():
         for s in straight_shapes(n):
             for t in enumerate_syt(s):
                 for k in range(3, n + 1):
-                    p = inversion_path(t, k)
-                    below = classify_side(p, (1, 1)) == BELOW
+                    below = classify_side(t, k, (1, 1)) == BELOW
                     assert below == ((k - 1) in descent_set(psi_k(t, k)))
 
 
@@ -139,17 +137,15 @@ def test_criterion_06_block_geometry_recurrence_conjugation():
         for s in straight_shapes(n):
             for t in enumerate_syt(s):
                 for k in range(3, n + 1):
-                    p = inversion_path(t, k)
-                    below = classify_side(p, (1, 1)) == BELOW
-                    for block in forward_blocks(t, k, p).blocks:
+                    below = classify_side(t, k, (1, 1)) == BELOW
+                    for block in forward_blocks(t, k).blocks:
                         i0, j0 = block[0]
                         for (i, j) in block[1:]:
                             if below:
                                 assert i > i0 and j < j0
                             else:
                                 assert i < i0 and j > j0
-                p = inversion_path(t, n)
-                delta = (n - 1) if classify_side(p, (1, 1)) == BELOW else 0
+                delta = (n - 1) if classify_side(t, n, (1, 1)) == BELOW else 0
                 assert inv_statistic(t) == inv_statistic(delete_top(psi_k(t, n))) + delta
     for n in range(1, 11):
         for s in straight_shapes(n):

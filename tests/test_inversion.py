@@ -4,6 +4,7 @@ statistic, including its north-east (comaj) counterpart."""
 import functools
 import itertools
 import random
+import re
 
 import pytest
 
@@ -79,8 +80,8 @@ class TestInversionPath:
 
     def test_paths_follow_the_corner_rule(self):
         # The reference walks the rule on the tableau's contents, with no
-        # grid; on skew shapes it meets double absences, which step South
-        # for SW paths and North for NE paths.
+        # grid; on skew shapes it meets absent neighbours, where both stop
+        # and run South then West for SW paths, North then East for NE.
         for s in skew_catalog(6):
             for t in enumerate_syt(s):
                 for k in range(1, t.n + 1):
@@ -90,46 +91,63 @@ class TestInversionPath:
 
 class TestSideClassification:
     def test_sides_around_a_path(self):
-        p = inversion_path(T22, 4)  # WS from (1, 1)
-        assert classify_side(p, (1, 1)) == BELOW
-        assert classify_side(p, (1, 2)) == BELOW
-        assert classify_side(p, (2, 1)) == ABOVE
-        assert classify_side(p, (2, 2)) == BELOW  # the anchor cell itself
+        assert inversion_path(T22, 4) == LatticePath((1, 1), "WS")
+        assert classify_side(T22, 4, (1, 1)) == BELOW
+        assert classify_side(T22, 4, (1, 2)) == BELOW
+        assert classify_side(T22, 4, (2, 1)) == ABOVE
+        assert classify_side(T22, 4, (2, 2)) == BELOW  # the anchor cell itself
 
     def test_cells_east_of_start_are_below(self):
-        p = LatticePath((0, 1), "S")
-        assert classify_side(p, (1, 1)) == BELOW
-        assert classify_side(p, (2, 1)) == BELOW
-        assert classify_side(p, (3, 1)) == ABOVE
+        t = tableau_from_rows([[1], [2], [3]])
+        assert inversion_path(t, 2) == LatticePath((0, 1), "S")
+        assert classify_side(t, 2, (1, 1)) == BELOW
+        assert classify_side(t, 2, (2, 1)) == BELOW
+        assert classify_side(t, 2, (3, 1)) == ABOVE
+
+    def test_no_cell_lies_south_west_of_a_stop_point(self):
+        # Each path stops at its first absent neighbour.  No cell of the
+        # shape lies weakly south-west of that point (north-east of it, for
+        # an NE path), so the tail past it decides no side and no statistic.
+        moves = {"S": (0, -1), "W": (-1, 0), "N": (0, 1), "E": (1, 0)}
+        for s in skew_catalog(6):
+            cells = s.cells()
+            for t in enumerate_syt(s):
+                for k in range(1, t.n + 1):
+                    for path, beyond in (
+                        (inversion_path(t, k), lambda i, j, x, y: i <= y and j <= x),
+                        (ne_inversion_path(t, k), lambda i, j, x, y: i > y and j > x),
+                    ):
+                        (x, y), steps = path.start, iter(path.steps)
+                        while (y + 1, x) in s and (y, x + 1) in s:
+                            dx, dy = moves[next(steps)]
+                            x, y = x + dx, y + dy
+                        assert not [(i, j) for i, j in cells if beyond(i, j, x, y)], (t.rows, k, path)
 
     @pytest.mark.parametrize(
-        "path,cell",
+        "t,k,cell",
         [
-            (LatticePath((2, 2), "W"), (1, 1)),  # stops short of the origin
-            (LatticePath((1, 1), "WSS"), (1, 1)),  # runs past it
-            (LatticePath((1, 1), "NE"), (1, 1)),  # not an SW path
-            (LatticePath((1, 1), "WS"), (1, 0)),  # west of column 1
+            (T22, 0, (1, 1)),
+            (T22, 5, (1, 1)),
+            (T22, 4, (1, 0)),  # west of column 1
+            (T22, 4, (3, 1)),  # above the shape
+            (SKEW1, 3, (1, 1)),  # in the inner shape
         ],
     )
-    def test_undetermined_cells_raise(self, path, cell):
-        with pytest.raises(AlgorithmError):
-            classify_side(path, cell)
-
-    def test_forward_blocks_rejects_a_path_from_another_cell(self):
-        with pytest.raises(AlgorithmError):
-            forward_blocks(T22, 4, inversion_path(T22, 3))
+    def test_a_pivot_or_cell_outside_the_tableau_is_a_value_error(self, t, k, cell):
+        # Bad caller input, never AlgorithmError (a RuntimeError).
+        message = f"content {k} outside 1..{t.n}" if not 1 <= k <= t.n else f"cell {cell} not in shape"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            classify_side(t, k, cell)
 
 
 class TestBlocksAndPsi:
     def test_blocks_for_hook(self):
         t = tableau_from_rows([[1, 2], [3]])
-        p = inversion_path(t, 3)
-        bp = forward_blocks(t, 3, p)
+        bp = forward_blocks(t, 3)
         assert [[t.content(c) for c in block] for block in bp.blocks] == [[1], [2]]
 
     def test_blocks_for_2x2(self):
-        p = inversion_path(T22B, 4)
-        bp = forward_blocks(T22B, 4, p)
+        bp = forward_blocks(T22B, 4)
         assert [[T22B.content(c) for c in block] for block in bp.blocks] == [[1], [2, 3]]
         assert bp.anchor_side == ABOVE
 
@@ -140,31 +158,23 @@ class TestBlocksAndPsi:
         for s in skew_catalog(6):
             for t in enumerate_syt(s):
                 for k in range(1, t.n + 1):
-                    blocks = forward_blocks(t, k, inversion_path(t, k)).blocks
+                    blocks = forward_blocks(t, k).blocks
                     assert [t.content(c) for block in blocks for c in block] == list(range(1, k)), (t.rows, k)
 
-    @pytest.mark.parametrize(
-        "blocks,k,path",
-        [
-            (forward_blocks, 0, inversion_path(T22, 4)),
-            (forward_blocks, 5, inversion_path(T22, 4)),
-            (ne_blocks, 0, ne_inversion_path(T22, 1)),
-            (ne_blocks, 5, ne_inversion_path(T22, 1)),
-        ],
-    )
-    def test_blocks_reject_a_pivot_outside_1_to_n(self, blocks, k, path):
+    @pytest.mark.parametrize("blocks,k", [(forward_blocks, 0), (forward_blocks, 5), (ne_blocks, 0), (ne_blocks, 5)])
+    def test_blocks_reject_a_pivot_outside_1_to_n(self, blocks, k):
         with pytest.raises(ValueError, match=f"pivot {k} outside 1..4"):
-            blocks(T22, k, path)
+            blocks(T22, k)
 
-    @pytest.mark.parametrize("blocks,path", [(forward_blocks, inversion_path), (ne_blocks, ne_inversion_path)])
-    def test_blocks_validate_through_the_grid_and_build_no_tableau(self, blocks, path, monkeypatch):
+    @pytest.mark.parametrize("blocks", [forward_blocks, ne_blocks])
+    def test_blocks_validate_through_the_grid_and_build_no_tableau(self, blocks, monkeypatch):
         with pytest.raises(TableauError):
             Tableau(T22.shape, ((2, 1), (3, 4)))
 
         def built(*args):
             raise AssertionError("a filling was validated or a Tableau built")
 
-        pivots = [(t, k, path(t, k)) for t in (T22, SKEW2) for k in range(1, t.n + 1)]
+        pivots = [(t, k) for t in (T22, SKEW2) for k in range(1, t.n + 1)]
         expected = [blocks(*pivot) for pivot in pivots]
         monkeypatch.setattr(_Grid, "tableau", built)
         monkeypatch.setattr(model, "validate_filling", built)
@@ -215,15 +225,16 @@ class TestBlocksAndPsi:
         # stage's result.  The path is taken there with `heights`, so this
         # holds it to `inversion_path` on the same tableau; the blocks come
         # from the runs phi_step cycled, so this holds the reverse step to
-        # `forward_blocks`.  A block's cells only trade places, so the
-        # blocks compare as sets of cells.
+        # `forward_blocks`, which takes the same path on that tableau.  A
+        # block's cells only trade places, so the blocks compare as sets of
+        # cells.
         shapes = skew_catalog(6) + [parse_shape(text) for text in ("2,2/2", "3,3/1,1", "4,4,2/4,1", "3,2/3")]
         for s in shapes:
             for t in enumerate_syt(s):
                 for stage in map_trace(t, forward=False)[1]:
                     k, before = stage.k, stage.result
                     assert stage.path == inversion_path(before, k), (t.rows, k)
-                    forward = forward_blocks(before, k, stage.path).blocks
+                    forward = forward_blocks(before, k).blocks
                     assert {frozenset(b) for b in stage.blocks} == {frozenset(b) for b in forward}, (t.rows, k)
 
 
@@ -348,12 +359,6 @@ def _ne_tableaux(*catalog_bounds):
         yield from enumerate_syt(s)
 
 
-def _rotated_sw_path(t, path):
-    """An NE path of t as an SW path of rotate_complement(t), or back."""
-    x, y = path.start
-    return LatticePath((t.shape.width - x, t.shape.n_rows - y), path.steps.translate(str.maketrans("WSEN", "ENWS")))
-
-
 class TestNeFunctions:
     """The NE functions against their SW counterparts on rotate_complement."""
 
@@ -381,9 +386,8 @@ class TestNeFunctions:
             r = rotate_complement(t)
             rotate = lambda c: (t.shape.n_rows + 1 - c[0], t.shape.width + 1 - c[1])
             for k in range(1, t.n + 1):
-                path = ne_inversion_path(t, k)
-                ref = forward_blocks(r, t.n + 1 - k, _rotated_sw_path(t, path))
-                bp = ne_blocks(t, k, path)
+                ref = forward_blocks(r, t.n + 1 - k)
+                bp = ne_blocks(t, k)
                 assert bp.k == k
                 assert bp.anchor_side == (ABOVE if ref.anchor_side == BELOW else BELOW)
                 assert bp.blocks == tuple(tuple(map(rotate, block)) for block in ref.blocks)
@@ -500,7 +504,7 @@ class TestCountingCascade:
             m = t.n + 1  # the array turned in its box, contents complemented
             assert turned.g == [[v and m - v for v in reversed(row)] for row in reversed(grid.g)]
             assert turned.pos == rotate_complement(t).positions()
-            assert (turned.shape, turned.width, turned.absent) == (rotate_complement(t).shape, grid.width, m)
+            assert (turned.shape, turned.width, turned.turned) == (rotate_complement(t).shape, grid.width, True)
 
 
 class TestUnnormalizedShapes:

@@ -20,7 +20,6 @@ from tabinv import (
     conjugate,
     format_shape,
     forward_blocks,
-    inversion_path,
     make_tableau,
     map_trace,
     parse_shape,
@@ -272,7 +271,7 @@ def test_value_types_keep_their_contract(monkeypatch):
         t,
         tableau_from_rows([[2], [1, 3]], inner=(1,)),
         LatticePath((1, 1), "SW"),
-        forward_blocks(u, 5, inversion_path(u, 5)),
+        forward_blocks(u, 5),
         map_trace(t, True)[1][0],
         DistributionPolynomial((1, 0, 2)),
     ]
