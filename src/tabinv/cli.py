@@ -35,7 +35,7 @@ from .foata import (
     perm_inverse,
     perm_maj,
 )
-from .inversion import AlgorithmError, inv_code, inv_statistic, inversion_path_set, map_trace
+from .inversion import AlgorithmError, inv_code, inv_statistic, inversion_path_set, map_trace, phi, psi
 from .model import (
     _decimal,
     format_shape,
@@ -118,13 +118,15 @@ def cmd_stats(args) -> int:
 def cmd_map(args) -> int:
     t = _load_tableau(args.input)
     forward = args.direction == "forward"
-    result, stages, inv = map_trace(t, forward)
+    stages = map_trace(t, forward) if args.trace else []
+    result = stages[-1].result if stages else (psi(t) if forward else phi(t))
+    source, image = (t, result) if forward else (result, t)  # psi's input end and output end
     out = {
         "direction": args.direction,
         "input": tableau_to_json_dict(t),
         "output": tableau_to_json_dict(result),
-        "inv": inv,
-        "maj": maj(result) if forward else maj(t),
+        "inv": inv_statistic(source),
+        "maj": maj(image),
     }
     lines = []
     if args.trace:

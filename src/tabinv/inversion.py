@@ -361,6 +361,8 @@ def classify_side(t: Tableau, k: int, cell: Cell) -> str:
 
 
 class MapStage(NamedTuple):
+    """One pivot step of a trace: its path, its blocks and the tableau after it."""
+
     k: int
     path: LatticePath
     blocks: tuple[tuple[Cell, ...], ...]
@@ -403,10 +405,11 @@ class InversionPathSet(NamedTuple):
     A cell's path is the path of the pivot that stands there, taken on the
     cascade's tableau just before that pivot's step.  Labelled with the
     content c the cell holds in the input (as `stats --paths` does), it
-    equals `inversion_path(t, c)` for c = n but not in general."""
+    equals `inversion_path(t, c)` for c = n but not in general.  The empty
+    tableau has no cell, so no path and no exempt cell (None)."""
 
     paths: dict[Cell, LatticePath]
-    exempt: Cell
+    exempt: Cell | None
     pairs: set[tuple[Cell, Cell]]
 
 
@@ -426,17 +429,22 @@ def _inversions(grid: _Grid) -> _Cascade:
     """Run the forward cascade on grid and record every path that anchors
     inversion pairs, the grid's starting contents, on which they count
     (`_below`), and the grid's `pos` at the output end: the inversion paths
-    of pivots n down to 2, each taken just before its own cycling step,
-    then the trivial path at the lower-left corner of the exempt cell.  The
-    statistic is the number of counted cells (`_Cascade.count`); only the
-    callers that return pairs build them (`_pairs`).
+    of pivots n down to 2, each taken just before its own cycling step
+    (pivot 2 cycles nothing), then the trivial path at the lower-left
+    corner of the exempt cell.  The statistic is the number of counted
+    cells (`_Cascade.count`); only the callers that return pairs build
+    them (`_pairs`).
 
     Once pivot k has cycled, content k never moves again, so the path start
     cells are distinct and the exempt cell is where 1 ends up.
     """
-    start = [row[:] for row in grid.g], grid.pos[:]
-    paths = [(grid.pos[k], grid.psi_step(k)[0]) for k in range(len(grid.pos) - 1, 2, -1)]
-    return _Cascade(paths + _end_paths(grid), start, grid.pos)
+    pos = grid.pos
+    start = [row[:] for row in grid.g], pos[:]
+    paths = [(pos[k], grid.psi_step(k)[0] if k > 2 else grid.heights(k)) for k in range(len(pos) - 1, 1, -1)]
+    if len(pos) > 1:
+        i, j = pos[1]
+        paths.append(((i, j), [0] * j + [i] * (grid.width + 1 - j)))
+    return _Cascade(paths, start, pos)
 
 
 def _forward(t: Tableau, turned: bool = False) -> _Cascade:
@@ -453,17 +461,6 @@ def _forward(t: Tableau, turned: bool = False) -> _Cascade:
             record = record._replace(end=_turned(t.shape, record.end))  # back into t's shape
         object.__setattr__(t, key, record)  # Tableau is frozen; its fields stay as they are
     return record
-
-
-def _end_paths(grid: _Grid) -> list[tuple[Cell, list[int]]]:
-    """The paths of pivot 2 and of the exempt cell, on a grid at the output
-    end of the forward cascade."""
-    n = len(grid.pos) - 1
-    paths = [(grid.pos[2], grid.heights(2))] if n >= 2 else []
-    if n:
-        i, j = grid.pos[1]
-        paths.append(((i, j), [0] * j + [i] * (grid.width + 1 - j)))
-    return paths
 
 
 def _below(g: list[list[int]], pos: list[Cell], paths: list[tuple[Cell, list[int]]]) -> list[Cell]:
@@ -488,7 +485,7 @@ def inversion_path_set(t: Tableau) -> InversionPathSet:
     paths, start, _ = _forward(t)
     return InversionPathSet(
         {cell: _lattice_path(cell, h) for cell, h in paths[:-1]},
-        paths[-1][0],
+        paths[-1][0] if paths else None,
         set(_pairs(paths, start)),
     )
 
@@ -511,38 +508,27 @@ def inv_statistic(t: Tableau) -> int:
     return _forward(t).count()
 
 
-def map_trace(t: Tableau, forward: bool = True) -> tuple[Tableau, list[MapStage], int]:
-    """psi(t), or phi(t) when not forward, with every pivot stage, and the
-    inversion statistic of the tableau at psi's input end (t, or phi(t)),
-    counted from the paths that same cascade records.
+def map_trace(t: Tableau, forward: bool = True) -> list[MapStage]:
+    """The pivot stages of psi(t), pivots n down to 3, or of phi(t), pivots
+    3 up to n, when not forward; the last stage's result is the image, and
+    there is no stage when n < 3.
 
-    A phi_k stage shows the path that psi_k takes on the stage's result
-    (`heights`), so the phi cascade records the paths of the psi cascade
-    of its result; pivot 2 and the exempt cell take theirs at psi's output
-    end (the result, or t).  A stage's blocks are all its blocks
-    (`_partition`), on the cells of the stage's input."""
+    A stage's blocks are all its blocks (`_partition`), on the cells of the
+    stage's input.  A phi_k stage shows the path that psi_k takes on the
+    stage's result (`heights`), and its blocks as phi finds them: scanning
+    down, each from its top content."""
     grid = _Grid(t.shape, t.positions())
-    start = [row[:] for row in grid.g], grid.pos[:]
-    ends = [] if forward else _end_paths(grid)
-    pivots = range(t.n, 2, -1) if forward else range(3, t.n + 1)
-    stages, paths = [], []
-    for k in pivots:
+    stages = []
+    for k in range(t.n, 2, -1) if forward else range(3, t.n + 1):
         before = grid.pos[:]
         if forward:
             h, runs = grid.psi_step(k)
-        else:  # the path psi_k takes on the stage's result
+            blocks = [tuple(before[a:b]) for a, b in _partition(runs, k)]
+        else:
             runs, h = grid.phi_step(k), grid.heights(k)
-        blocks = [tuple(before[a:b]) for a, b in _partition(runs, k)]
-        if not forward:  # as phi finds them: scanning down, each from its top content
-            blocks = [block[::-1] for block in reversed(blocks)]
-        paths.append((grid.pos[k], h))
+            blocks = [tuple(before[a:b][::-1]) for a, b in reversed(_partition(runs, k))]
         stages.append(MapStage(k, _lattice_path(grid.pos[k], h), tuple(blocks), grid.tableau()))
-    result = grid.tableau()
-    if forward:
-        ends = _end_paths(grid)
-    else:
-        start = grid.g, grid.pos
-    return result, stages, len(_below(*start, paths + ends))
+    return stages
 
 
 def inv_code(t: Tableau) -> list[int]:
@@ -615,7 +601,7 @@ def ne_inversion_path_set(t: Tableau) -> InversionPathSet:
     back = _turned_back(t.shape, start[1])
     return InversionPathSet(
         {back[cell]: _rotate_path(t.shape, _lattice_path(cell, h)) for cell, h in paths[:-1]},
-        back[paths[-1][0]],
+        back[paths[-1][0]] if paths else None,
         {(back[a], back[b]) for a, b in _pairs(paths, start)},
     )
 

@@ -381,11 +381,15 @@ def test_enumerate_rejects_par_below_one(par, capsys):
 
 
 @pytest.mark.parametrize("direction", ["forward", "inverse"])
-def test_map_runs_one_cascade(direction, capsys, monkeypatch):
+def test_map_runs_each_cascade_once(direction, tmp_path, capsys, monkeypatch):
+    # Forward, psi and inv read one psi cascade of the input.  Inverse, phi
+    # runs its cascade, and inv is counted on the psi cascade of phi's
+    # result, the record that psi(phi(t)) reads.  Untraced, no stage is built.
+    import tabinv.cli as cli
     from tabinv.inversion import _Grid
 
     calls = []
-    for name in ("__init__", "psi_step", "phi_step"):
+    for name in ("psi_step", "phi_step"):
         method = getattr(_Grid, name)
 
         def counting(*args, _name=name, _method=method, **kwargs):
@@ -393,10 +397,17 @@ def test_map_runs_one_cascade(direction, capsys, monkeypatch):
             return _method(*args, **kwargs)
 
         monkeypatch.setattr(_Grid, name, counting)
-    assert main(["map", "--input", str(FIXTURES / "straight_2x2.txt"), "--direction", direction]) == 0
+
+    def no_trace(*args, **kwargs):
+        raise AssertionError("map_trace called without --trace")
+
+    monkeypatch.setattr(cli, "map_trace", no_trace)
+    path = tmp_path / "t.txt"
+    path.write_text("shape: 3,2,2\n1 2 5\n3 4\n6 7\n")
+    assert main(["map", "--input", str(path), "--direction", direction]) == 0
     capsys.readouterr()
-    step = "psi_step" if direction == "forward" else "phi_step"
-    assert calls == ["__init__", step, step]
+    psi_cascade = ["psi_step"] * 5
+    assert calls == (psi_cascade if direction == "forward" else ["phi_step"] * 5 + psi_cascade)
 
 
 @pytest.fixture
@@ -643,13 +654,8 @@ def test_failed_verification_exits_2(capsys, monkeypatch):
 def test_map_mismatch_exits_2(direction, capsys, monkeypatch):
     import tabinv.cli as cli
 
-    map_trace = cli.map_trace
-
-    def skewed_trace(*args, **kwargs):
-        result, stages, inv = map_trace(*args, **kwargs)
-        return result, stages, inv + 1
-
-    monkeypatch.setattr(cli, "map_trace", skewed_trace)
+    inv_statistic = cli.inv_statistic
+    monkeypatch.setattr(cli, "inv_statistic", lambda t: inv_statistic(t) + 1)
     argv = ["map", "--input", str(FIXTURES / "straight_2x2.txt"), "--direction", direction]
     assert main(argv) == 2
     captured = capsys.readouterr()

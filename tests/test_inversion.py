@@ -45,7 +45,7 @@ from tabinv import (
 import tabinv.inversion as inversion
 import tabinv.model as model
 from tabinv.inversion import _Grid
-from tabinv.enumeration import skew_catalog, statistic_values
+from tabinv.enumeration import STATISTICS, skew_catalog, statistic_values
 from tabinv.model import Shape, Tableau, TableauError
 
 T22 = tableau_from_rows([[1, 2], [3, 4]])
@@ -213,11 +213,12 @@ class TestBlocksAndPsi:
                 assert psi(phi(t)) == t
 
     def test_traces_are_consistent(self):
-        result, stages = map_trace(T22)[:2]
+        stages = map_trace(T22)
+        result = stages[-1].result
         assert result == psi(T22)
         assert [st.k for st in stages] == [4, 3]
-        back, inv_stages = map_trace(result, forward=False)[:2]
-        assert back == T22
+        inv_stages = map_trace(result, forward=False)
+        assert inv_stages[-1].result == T22
         assert [st.k for st in inv_stages] == [3, 4]
 
     def test_phi_stages_follow_the_forward_definition(self):
@@ -231,7 +232,7 @@ class TestBlocksAndPsi:
         shapes = skew_catalog(6) + [parse_shape(text) for text in ("2,2/2", "3,3/1,1", "4,4,2/4,1", "3,2/3")]
         for s in shapes:
             for t in enumerate_syt(s):
-                for stage in map_trace(t, forward=False)[1]:
+                for stage in map_trace(t, forward=False):
                     k, before = stage.k, stage.result
                     assert stage.path == inversion_path(before, k), (t.rows, k)
                     forward = forward_blocks(before, k).blocks
@@ -251,6 +252,8 @@ class TestInvStatistic:
         ips = inversion_path_set(T22)
         assert set(ips.paths) == {(1, 2), (2, 1), (2, 2)}
         assert ips.exempt == (1, 1)
+        empty = Tableau(Shape(()), ())
+        assert inversion_path_set(empty) == ne_inversion_path_set(empty) == ({}, None, set())
 
     def test_path_set_follows_the_cascade(self):
         # The path of pivot k is taken on the cascade's tableau just before
@@ -283,15 +286,17 @@ class TestInvStatistic:
             for t in enumerate_syt(parse_shape(shape_text)):
                 assert inv_statistic(t) == maj(psi(t))
 
-    def test_map_trace_counts_inv_from_its_own_cascade(self):
-        # Inverse, each stage's path is taken with `heights` on the stage's
-        # result, and the count over them must match the count that psi's
-        # own cascade makes from phi's result: the stages are psi's.
+    def test_map_traces_end_at_the_image_and_back(self):
+        # The forward trace ends at psi(t), and the inverse trace of that
+        # image ends at t; with n < 3 there is no stage and both maps are
+        # the identity.
         for s in skew_catalog(6, 3, 3):
             for t in enumerate_syt(s):
-                image, _, inv = map_trace(t)
-                assert (image, inv) == (psi(t), inv_statistic(t))
-                assert map_trace(image, forward=False)[::2] == (t, inv)
+                stages = map_trace(t)
+                image = stages[-1].result if stages else t
+                assert image == psi(t)
+                back = map_trace(image, forward=False)
+                assert (back[-1].result if back else image) == t
 
 
 class TestNeVariant:
@@ -463,19 +468,24 @@ class TestCountingCascade:
 
     def test_reading_order_does_not_mix_the_orientations(self):
         # NE first and then SW on one instance against SW first on a fresh
-        # equal one; the SW values against map_trace, and the NE values
-        # against map_trace on the turned tableau.
-        for s in skew_catalog(6):
+        # equal one; psi and comaj_map against the last stage of map_trace
+        # (on the turned tableau for comaj_map), and inv and cinv against
+        # the enumerator's statistics on the positions, a route that reads
+        # no Tableau record.  The empty tableau is read too.
+        for s in [Shape(())] + skew_catalog(6):
             for t in enumerate_syt(s):
                 fresh = Tableau(t.shape, t.rows)
                 ne = [fn(t) for fn in NE_READERS]
                 sw = [fn(t) for fn in SW_READERS]
                 assert [fn(fresh) for fn in SW_READERS] == sw, t.rows
                 assert [fn(fresh) for fn in NE_READERS] == ne, t.rows
-                image, _, inv = map_trace(Tableau(t.shape, t.rows))
-                assert sw[:2] == [image, inv], t.rows
-                turned_image, _, cinv = map_trace(rotate_complement(t))
-                assert ne[:2] == [rotate_complement_into(turned_image, t.shape), cinv], t.rows
+                stages, pos = map_trace(t), t.positions()
+                image = stages[-1].result if stages else t
+                assert sw[:2] == [image, STATISTICS["inv"](t.shape, pos)], t.rows
+                stages = map_trace(rotate_complement(t))
+                turned_image = stages[-1].result if stages else rotate_complement(t)
+                ne_values = [rotate_complement_into(turned_image, t.shape), STATISTICS["cinv"](t.shape, pos)]
+                assert ne[:2] == ne_values, t.rows
 
     def test_the_record_leaves_equality_hash_and_repr_alone(self):
         for t in _ne_tableaux(4):
@@ -663,7 +673,7 @@ class TestRandomLarge:
         assert phi(image) == t
         assert inv_statistic(t) == maj(image)
         assert cinv_statistic(t) == comaj(comaj_map(t))
-        assert map_trace(image, forward=False)[::2] == (t, maj(image))
+        assert map_trace(image, forward=False)[-1].result == t
 
     def test_bijection_and_statistics(self):
         for t in self.tableaux(80, range(25, 81)):

@@ -272,7 +272,7 @@ def test_value_types_keep_their_contract(monkeypatch):
         tableau_from_rows([[2], [1, 3]], inner=(1,)),
         LatticePath((1, 1), "SW"),
         forward_blocks(u, 5),
-        map_trace(t, True)[1][0],
+        map_trace(t, True)[0],
         DistributionPolynomial((1, 0, 2)),
     ]
     assert list(map(repr, values)) == [
