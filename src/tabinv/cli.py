@@ -159,8 +159,6 @@ def cmd_map(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.par < 1:
-        raise ValueError("--par must be at least 1")
     shape = parse_shape(args.shape)
     stats = list(dict.fromkeys(s.strip() for s in args.stat.split(",") if s.strip()))
     _check_statistics(stats)
@@ -243,11 +241,15 @@ def cmd_render(args) -> int:
 
 
 def _workers(text: str) -> int:
-    """--par's value, read by the one number rule (`model._decimal`)."""
+    """--par's value, read by the one number rule (`model._decimal`): a
+    number of worker processes, so at least 1."""
     try:
-        return _decimal(text)
+        workers = _decimal(text)
+        if workers >= 1:
+            return workers
     except ValueError:
-        raise ValueError(f"--par must be at least 1, written in the digits 0-9 alone: {text!r}") from None
+        pass
+    raise ValueError(f"--par must be at least 1, written in the digits 0-9 alone: {text!r}")
 
 
 class _Option:

@@ -374,10 +374,14 @@ def test_enumerate_prints_a_repeated_statistic_once(capsys):
 
 @pytest.mark.parametrize("par", ["0", "-1"])
 def test_enumerate_rejects_par_below_one(par, capsys):
+    # A usage error, as for any malformed option value: the usage line and
+    # one error line, from the parser before anything runs.
     assert main(["enumerate", "--shape", "3,2", "--par", par]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--par must be at least 1" in captured.err
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: tabinv enumerate ")
+    assert error == f"tabinv enumerate: error: --par must be at least 1, written in the digits 0-9 alone: {par!r}"
 
 
 @pytest.mark.parametrize("direction", ["forward", "inverse"])

@@ -2,12 +2,14 @@
 equidistribution reports."""
 
 import concurrent.futures
+import sys
 from math import comb
 
 import pytest
 
 import random_syt
 import tabinv.enumeration as enumeration
+import tabinv.stats as stats
 from reference_syt import brute_force_count, reference_syt
 from tabinv import (
     AlgorithmError,
@@ -30,6 +32,7 @@ from tabinv import (
 from tabinv.cli import main
 from tabinv.enumeration import REPORT_VALUES, STATISTICS, statistic_values
 from tabinv.model import Shape
+from tabinv.stats import comaj_of, maj_of
 
 INVOLUTIONS = [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496]
 
@@ -148,10 +151,18 @@ class TestCounting:
         s = parse_shape(text) if text else Shape(())
 
         def copied(fillings):
-            return [([list(row) for row in rows], list(pos)) for rows, pos in fillings]
+            return [([list(row) for row in rows], list(pos), *sums) for rows, pos, *sums in fillings]
 
         chunks = [copied(enumeration._fillings(s, prefix)) for prefix in enumeration._prefixes(s, count)]
         assert [filling for chunk in chunks for filling in chunk] == copied(enumeration._fillings(s))
+
+    @pytest.mark.parametrize("count", [1, 4, 64])
+    def test_every_chunk_keeps_the_descent_sums(self, count):
+        # The sums a chunk starts from are those of its forced prefix moves.
+        for s in skew_catalog(7):
+            for prefix in enumeration._prefixes(s, count):
+                for rows, pos, maj_sum, comaj_sum in enumeration._fillings(s, prefix):
+                    assert (maj_sum, comaj_sum) == (maj_of(pos), comaj_of(pos)), (s, prefix, rows)
 
     @pytest.mark.parametrize(
         "text,prefix,content,cell",
@@ -319,6 +330,33 @@ class TestValuesFromPositions:
         )
         for s in shapes:
             assert statistic_values(s, list(REPORT_VALUES)) == tableau_values(s), s
+
+    def test_a_pass_calls_no_descent_rescan(self, monkeypatch):
+        # maj_of and comaj_of raise in every tabinv module that holds them,
+        # so maj and comaj must come from the sums the walk keeps: serially
+        # and in prefix chunks, which start from their forced moves' sums.
+        texts = ("4,3,2,1", "5,3,1", "4,3,2/2", "5,4,3/1", "3,3/3", "2,2/1")
+        shapes = [parse_shape(text) for text in texts] + [Shape(())]
+        expected = {}
+        for s in shapes:
+            tableaux = list(enumerate_syt(s))
+            expected[s] = {"maj": [maj(t) for t in tableaux], "comaj": [comaj(t) for t in tableaux]}
+
+        def rescan(pos):
+            raise AssertionError("a descent rescan")
+
+        for name in ("maj_of", "comaj_of"):
+            original = getattr(stats, name)
+            for module in [m for key, m in sys.modules.items() if key.partition(".")[0] == "tabinv"]:
+                if vars(module).get(name) is original:
+                    monkeypatch.setattr(module, name, rescan)
+        for s in shapes:
+            assert statistic_values(s, ["maj", "comaj"]) == expected[s], s
+            chunks = [enumeration._prefix_values(s, prefix, ["maj", "comaj"]) for prefix in enumeration._prefixes(s, 4)]
+            assert {name: [v for chunk in chunks for v in chunk[name]] for name in expected[s]} == expected[s], s
+            if s.is_straight and s.size:
+                assert distribution(s, "maj").coefficients == random_syt.q_hook_maj(s.outer), s
+            assert distribution(s, "comaj") == DistributionPolynomial.from_values(expected[s]["comaj"]), s
 
     @pytest.mark.parametrize("text", ["4,3,1", "4,3,2/2", "4,4"])
     def test_parallel_values_equal_the_tableau_functions(self, text):

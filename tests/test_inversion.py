@@ -47,6 +47,7 @@ import tabinv.model as model
 from tabinv.inversion import _Grid
 from tabinv.enumeration import STATISTICS, skew_catalog, statistic_values
 from tabinv.model import Shape, Tableau, TableauError
+from tabinv.stats import comaj_of, maj_of
 
 T22 = tableau_from_rows([[1, 2], [3, 4]])
 T22B = tableau_from_rows([[1, 3], [2, 4]])
@@ -470,8 +471,9 @@ class TestCountingCascade:
         # NE first and then SW on one instance against SW first on a fresh
         # equal one; psi and comaj_map against the last stage of map_trace
         # (on the turned tableau for comaj_map), and inv and cinv against
-        # the enumerator's statistics on the positions, a route that reads
-        # no Tableau record.  The empty tableau is read too.
+        # the enumerator's statistics on the positions (the descent sums
+        # from stats), a route that reads no Tableau record.  The empty
+        # tableau is read too.
         for s in [Shape(())] + skew_catalog(6):
             for t in enumerate_syt(s):
                 fresh = Tableau(t.shape, t.rows)
@@ -481,10 +483,11 @@ class TestCountingCascade:
                 assert [fn(fresh) for fn in NE_READERS] == ne, t.rows
                 stages, pos = map_trace(t), t.positions()
                 image = stages[-1].result if stages else t
-                assert sw[:2] == [image, STATISTICS["inv"](t.shape, pos)], t.rows
+                sums = maj_of(pos), comaj_of(pos)
+                assert sw[:2] == [image, STATISTICS["inv"](t.shape, pos, *sums)], t.rows
                 stages = map_trace(rotate_complement(t))
                 turned_image = stages[-1].result if stages else rotate_complement(t)
-                ne_values = [rotate_complement_into(turned_image, t.shape), STATISTICS["cinv"](t.shape, pos)]
+                ne_values = [rotate_complement_into(turned_image, t.shape), STATISTICS["cinv"](t.shape, pos, *sums)]
                 assert ne[:2] == ne_values, t.rows
 
     def test_the_record_leaves_equality_hash_and_repr_alone(self):
