@@ -3,8 +3,10 @@ classical permutation map, and plain rendering.
 
 Exit codes, mapped in `main` alone: 0 success or `--help`, 1 bad input (a
 usage error included), 2 verification failure, 3 internal error (an
-`AlgorithmError`, which signals a bug). Every command builds one record,
-the dict `--format json` prints, and renders its text lines from it.
+`AlgorithmError` or any other exception that is not bad input: a bug), and
+141 when stdout's reader has gone, as for a producer that SIGPIPE ended.
+Every command builds one record, the dict `--format json` prints, and
+renders its text lines from it.
 
 One table, `_COMMANDS`, holds each command's handler, help string and
 options: `_parse` reads argv against it, as argparse read it, and
@@ -76,9 +78,9 @@ def _emit(args, record: dict, lines: list[str]) -> None:
     if args.format == "json":
         import json  # here, not at the top: a text-mode run never pays its import
 
-        print(json.dumps(record, indent=2))
+        print(json.dumps(record, indent=2), flush=True)
     else:
-        print("\n".join(lines))
+        print("\n".join(lines), flush=True)  # a closed stdout raises here, inside main
 
 
 def cmd_stats(args) -> int:
@@ -118,8 +120,7 @@ def cmd_stats(args) -> int:
 def cmd_map(args) -> int:
     t = _load_tableau(args.input)
     forward = args.direction == "forward"
-    stages = map_trace(t, forward) if args.trace else []
-    result = stages[-1].result if stages else (psi(t) if forward else phi(t))
+    result = psi(t) if forward else phi(t)
     source, image = (t, result) if forward else (result, t)  # psi's input end and output end
     out = {
         "direction": args.direction,
@@ -129,23 +130,16 @@ def cmd_map(args) -> int:
         "maj": maj(image),
     }
     lines = []
-    if args.trace:
-        out["stages"] = [
-            {
-                "k": st.k,
-                "path": {"start": list(st.path.start), "steps": st.path.steps},
-                "blocks": [[list(c) for c in block] for block in st.blocks],
-                "result": tableau_to_json_dict(st.result),
-            }
-            for st in stages
-        ]
-        label = "psi" if forward else "phi"
-        for d, st in zip(out["stages"], stages):
-            path = d["path"]
-            blocks = " ".join("[" + ",".join(map(_fmt_cell, block)) + "]" for block in d["blocks"])
+    if args.trace:  # the stages only print: the image and the statistics come from psi or phi
+        out["stages"], label = [], "psi" if forward else "phi"
+        for st in map_trace(t, forward):
+            path = {"start": list(st.path.start), "steps": st.path.steps}
+            blocks = [[list(c) for c in block] for block in st.blocks]
+            out["stages"].append({"k": st.k, "path": path, "blocks": blocks, "result": tableau_to_json_dict(st.result)})
+            cells = " ".join("[" + ",".join(map(_fmt_cell, block)) + "]" for block in blocks)
             lines += [
-                f"stage {label} k={d['k']} start={_fmt_cell(path['start'])} steps={path['steps'] or '-'}",
-                f"blocks: {blocks or '-'}",
+                f"stage {label} k={st.k} start={_fmt_cell(path['start'])} steps={path['steps'] or '-'}",
+                f"blocks: {cells or '-'}",
                 *tableau_to_text(st.result).splitlines(),
                 "",
             ]
@@ -483,7 +477,7 @@ def _print_help(command) -> int:
     lines = [_usage(command), "", about]
     for title, rows in sections:
         lines += ["", f"{title}:"] + [f"  {left:<{width}}{text}".rstrip() for left, text in rows]
-    print("\n".join(lines))
+    print("\n".join(lines), flush=True)
     return 0
 
 
@@ -497,11 +491,25 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return handler(args)
+    except BrokenPipeError:
+        # stdout's reader has gone: end silently, with the status a shell
+        # reports for a producer that SIGPIPE ended.  A stdout with a file
+        # descriptor now writes to devnull, so the flush at interpreter exit
+        # cannot fail again; the stream object itself stays in place.
+        import os
+
+        try:
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass  # a stream with no descriptor, as an in-process caller's may be
+        return 141
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except AlgorithmError as e:
-        print(f"internal error: {e}", file=sys.stderr)
+    except Exception as e:  # a bug: an AlgorithmError names its step, any other exception its type
+        detail = e if isinstance(e, AlgorithmError) else f"{type(e).__name__}: {e}"
+        print(f"internal error: {detail}", file=sys.stderr)
         return 3
 
 

@@ -31,7 +31,8 @@ no pair built; only the callers that return the pairs build them
 (`_pairs`), from the same paths and the same rule.  A Tableau runs each
 forward cascade, SW and NE, at most once: its record (`_forward`) stays on
 the Tableau, and psi, the statistic, its pairs, paths and code (and their
-NE mirrors) all read it.  phi always runs its own reverse cascade.
+NE mirrors) all read it; psi's image is built from the grid the cascade
+ran on.  phi always runs its own reverse cascade.
 
 A grid is filled from the cell of each content of a standard filling:
 a Tableau's, which its construction proved standard, or one the
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .model import Cell, Shape, Tableau, _rotated_shape, _turned, validate_filling
+from .model import Cell, Filling, Shape, Tableau, _rotated_shape, _turned, validate_filling
 
 BELOW = "below"  # weakly SE of a path
 ABOVE = "above"  # weakly NW of a path
@@ -361,12 +362,14 @@ def classify_side(t: Tableau, k: int, cell: Cell) -> str:
 
 
 class MapStage(NamedTuple):
-    """One pivot step of a trace: its path, its blocks and the tableau after it."""
+    """One pivot step of a trace: its path, its blocks and the filling after
+    it, which the step's check (`_Grid.check`) proved standard;
+    `Tableau(*stage.result)` checks it again."""
 
     k: int
     path: LatticePath
     blocks: tuple[tuple[Cell, ...], ...]
-    result: Tableau
+    result: Filling
 
 
 def _cycled(t: Tableau, step, pivots) -> Tableau:
@@ -384,7 +387,7 @@ def psi_k(t: Tableau, k: int) -> Tableau:
 
 def psi(t: Tableau) -> Tableau:
     """Composite forward map, pivots n down to 3; sends Inv to maj."""
-    return _Grid(t.shape, _forward(t).end).tableau()
+    return _forward(t).grid.tableau()
 
 
 def phi_k(s: Tableau, k: int) -> Tableau:
@@ -418,7 +421,7 @@ class _Cascade(NamedTuple):
 
     paths: list[tuple[Cell, list[int]]]
     start: tuple[list[list[int]], list[Cell]]
-    end: list[Cell]
+    grid: _Grid
 
     def count(self) -> int:
         """The inversion statistic the paths count (`_below`)."""
@@ -428,12 +431,12 @@ class _Cascade(NamedTuple):
 def _inversions(grid: _Grid) -> _Cascade:
     """Run the forward cascade on grid and record every path that anchors
     inversion pairs, the grid's starting contents, on which they count
-    (`_below`), and the grid's `pos` at the output end: the inversion paths
-    of pivots n down to 2, each taken just before its own cycling step
-    (pivot 2 cycles nothing), then the trivial path at the lower-left
-    corner of the exempt cell.  The statistic is the number of counted
-    cells (`_Cascade.count`); only the callers that return pairs build
-    them (`_pairs`).
+    (`_below`), and the grid itself, which then holds the output end: the
+    inversion paths of pivots n down to 2, each taken just before its own
+    cycling step (pivot 2 cycles nothing), then the trivial path at the
+    lower-left corner of the exempt cell.  The statistic is the number of
+    counted cells (`_Cascade.count`); only the callers that return pairs
+    build them (`_pairs`).
 
     Once pivot k has cycled, content k never moves again, so the path start
     cells are distinct and the exempt cell is where 1 ends up.
@@ -444,7 +447,7 @@ def _inversions(grid: _Grid) -> _Cascade:
     if len(pos) > 1:
         i, j = pos[1]
         paths.append(((i, j), [0] * j + [i] * (grid.width + 1 - j)))
-    return _Cascade(paths, start, pos)
+    return _Cascade(paths, start, grid)
 
 
 def _forward(t: Tableau, turned: bool = False) -> _Cascade:
@@ -452,13 +455,13 @@ def _forward(t: Tableau, turned: bool = False) -> _Cascade:
 
     It runs on the first call for t and orientation, with every step
     checked, and its record is kept on t, so it lives as long as t does;
-    later calls read it.  A cascade that raises keeps no record."""
+    later calls read it.  A cascade that raises keeps no record.  Either
+    orientation keeps the record as `_inversions` made it, so a turned
+    record's grid is turned."""
     key = "_ne_cascade" if turned else "_sw_cascade"
     record = t.__dict__.get(key)
     if record is None:
         record = _inversions(_Grid(t.shape, t.positions(), turned))
-        if turned:
-            record = record._replace(end=_turned(t.shape, record.end))  # back into t's shape
         object.__setattr__(t, key, record)  # Tableau is frozen; its fields stay as they are
     return record
 
@@ -527,7 +530,7 @@ def map_trace(t: Tableau, forward: bool = True) -> list[MapStage]:
         else:
             runs, h = grid.phi_step(k), grid.heights(k)
             blocks = [tuple(before[a:b][::-1]) for a, b in reversed(_partition(runs, k))]
-        stages.append(MapStage(k, _lattice_path(grid.pos[k], h), tuple(blocks), grid.tableau()))
+        stages.append(MapStage(k, _lattice_path(grid.pos[k], h), tuple(blocks), Filling(grid.shape, grid.rows())))
     return stages
 
 
@@ -593,7 +596,7 @@ def comaj_map(t: Tableau) -> Tableau:
     """Composite NE-variant map, pivots 1 up to n-2; fixes the cell of 1.
 
     psi run on the turned grid, whose cells turn back into t's own shape."""
-    return _Grid(t.shape, _forward(t, turned=True).end).tableau()
+    return _Grid(t.shape, _turned(t.shape, _forward(t, turned=True).grid.pos)).tableau()
 
 
 def ne_inversion_path_set(t: Tableau) -> InversionPathSet:

@@ -161,14 +161,17 @@ def format_shape(s: Shape) -> str:
     return out
 
 
-class _TableauFields(NamedTuple):
+class Filling(NamedTuple):
+    """A shape plus its rows, stored bottom-up, None on inner cells; nothing
+    about it is checked.  `Tableau(*filling)` checks one."""
+
     shape: Shape
     rows: tuple[tuple[int | None, ...], ...]
 
 
-class Tableau(_Checked, _TableauFields):
-    """A standard Young tableau: a shape plus contents, rows stored
-    bottom-up, None on inner cells.
+class Tableau(_Checked, Filling):
+    """A standard Young tableau: a Filling whose construction proved it
+    standard.
 
     Construction first checks that the rows fit the shape, raising
     TableauError with the first fault, and then that the filling is
@@ -325,7 +328,9 @@ def _rotated_shape(s: Shape) -> Shape:
 # space separated, with "." for absent inner cells.
 
 
-def tableau_to_text(t: Tableau) -> str:
+def tableau_to_text(t: Filling) -> str:
+    """The text format of a Filling, a Tableau included; it reads only the
+    shape and the rows."""
     lines = [f"shape: {format_shape(t.shape)}"]
     for row in t.rows:
         lines.append(" ".join("." if v is None else str(v) for v in row))
@@ -373,7 +378,9 @@ def parse_tableau_text(text: str) -> Tableau:
     return make_tableau(declared, raw)
 
 
-def tableau_to_json_dict(t: Tableau) -> dict:
+def tableau_to_json_dict(t: Filling) -> dict:
+    """The JSON dict of a Filling, a Tableau included; it reads only the
+    shape and the rows."""
     return {
         "shape": list(t.shape.outer),
         "inner": list(t.shape.inner),

@@ -184,6 +184,22 @@ def test_bad_shape_is_a_user_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_shape_with_no_cells_is_a_user_error(capsys):
+    assert main(["enumerate", "--shape", "3/3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: shape '3/3' has no cells\n"
+
+
+def test_an_unknown_option_before_the_command_is_a_usage_error(capsys):
+    assert main(["-x", "render", "--input", str(FIXTURES / "straight_2x2.txt")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: tabinv render ")
+    assert error == "tabinv render: error: unrecognized arguments: -x"
+
+
 def test_bad_tableau_file_is_a_user_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("2 1\n3 4\n")
@@ -384,12 +400,17 @@ def test_enumerate_rejects_par_below_one(par, capsys):
     assert error == f"tabinv enumerate: error: --par must be at least 1, written in the digits 0-9 alone: {par!r}"
 
 
-@pytest.mark.parametrize("direction", ["forward", "inverse"])
-def test_map_runs_each_cascade_once(direction, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "direction,trace",
+    [("forward", False), ("inverse", False), ("forward", True), ("inverse", True)],
+    ids=["forward", "inverse", "forward-trace", "inverse-trace"],
+)
+def test_map_runs_each_cascade_once(direction, trace, tmp_path, capsys, monkeypatch):
     # Forward, psi and inv read one psi cascade of the input.  Inverse, phi
     # runs its cascade, and inv is counted on the psi cascade of phi's
-    # result, the record that psi(phi(t)) reads.  Untraced, no stage is built.
-    import tabinv.cli as cli
+    # result, the record that psi(phi(t)) reads.  Untraced, no stage is
+    # built; --trace then runs map_trace's own walk once, after them: for
+    # an inverse trace that is a second phi run.
     from tabinv.inversion import _Grid
 
     calls = []
@@ -405,13 +426,38 @@ def test_map_runs_each_cascade_once(direction, tmp_path, capsys, monkeypatch):
     def no_trace(*args, **kwargs):
         raise AssertionError("map_trace called without --trace")
 
-    monkeypatch.setattr(cli, "map_trace", no_trace)
+    if not trace:
+        monkeypatch.setattr(cli, "map_trace", no_trace)
     path = tmp_path / "t.txt"
     path.write_text("shape: 3,2,2\n1 2 5\n3 4\n6 7\n")
-    assert main(["map", "--input", str(path), "--direction", direction]) == 0
+    assert main(["map", "--input", str(path), "--direction", direction] + (["--trace"] if trace else [])) == 0
     capsys.readouterr()
-    psi_cascade = ["psi_step"] * 5
-    assert calls == (psi_cascade if direction == "forward" else ["phi_step"] * 5 + psi_cascade)
+    psi_cascade, phi_cascade = ["psi_step"] * 5, ["phi_step"] * 5
+    if direction == "forward":
+        expected, walk = psi_cascade, psi_cascade
+    else:
+        expected, walk = phi_cascade + psi_cascade, phi_cascade
+    assert calls == expected + (walk if trace else [])
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "trace"])
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_map_gets_its_image_from_psi_or_phi_once(direction, trace, capsys, monkeypatch):
+    # The image is psi(t) or phi(t) with or without --trace; the stages
+    # only print.
+    calls = []
+    for name in ("psi", "phi"):
+        fn = getattr(cli, name)
+
+        def counting(t, _name=name, _fn=fn):
+            calls.append(_name)
+            return _fn(t)
+
+        monkeypatch.setattr(cli, name, counting)
+    argv = ["map", "--input", str(FIXTURES / "skew_321_21.txt"), "--direction", direction]
+    assert main(argv + (["--trace"] if trace else [])) == 0
+    capsys.readouterr()
+    assert calls == ["psi" if direction == "forward" else "phi"]
 
 
 @pytest.fixture
@@ -436,6 +482,83 @@ def test_internal_error_exits_3(capsys, bad_cycle):
     assert captured.out == ""
     assert captured.err.startswith("internal error: psi_")
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_any_other_exception_is_an_internal_error(direction, capsys, monkeypatch):
+    # Not only AlgorithmError: any exception that escapes a command and is
+    # not bad input is a bug, exit 3, with one line that names its type.
+    def broken(t):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(cli, "psi" if direction == "forward" else "phi", broken)
+    assert main(["map", "--input", str(FIXTURES / "straight_2x2.txt"), "--direction", direction]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: IndexError: list index out of range\n"
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_stdout_exits_141_in_silence(capsys, monkeypatch):
+    # The status a shell reports for a producer that SIGPIPE ended, with
+    # nothing on stderr; the caller's stream objects stay in place.
+    closed = _ClosedPipe()
+    monkeypatch.setattr(sys, "stdout", closed)
+    argv = ["stats", "--input", str(FIXTURES / "skew_321_21.txt"), "--pairs"]
+    assert main(argv) == 141
+    assert sys.stdout is closed
+    assert capsys.readouterr().err == ""
+    # A small output is flushed inside main too, so the error surfaces there.
+    assert main(["render", "--input", str(FIXTURES / "straight_2x2.txt")]) == 141
+    assert capsys.readouterr().err == ""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    assert "pair larger=" in out.getvalue()
+
+
+def test_a_closed_pipe_descriptor_is_pointed_at_devnull(capsys, monkeypatch):
+    # A stdout on a pipe whose read end is closed: main exits 141, and the
+    # stream, still in place, now writes to devnull, so the flush at
+    # interpreter exit has nothing to fail on.
+    import os
+
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as stream:
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(["render", "--input", str(FIXTURES / "straight_2x2.txt")]) == 141
+        assert sys.stdout is stream
+        print("more", file=stream, flush=True)
+    assert capsys.readouterr().err == ""
+
+
+CLOSED_PIPE = """
+import sys
+sys.path.insert(0, {src!r})
+from tabinv.cli import main
+sys.exit(main())
+"""
+
+
+def test_a_closed_pipe_ends_the_process_with_141_and_no_stderr():
+    # `seq 400 | tabinv stats --input - --pairs | head -n 1`: 2.2 MB of
+    # pairs, of which the reader takes one line.
+    code = CLOSED_PIPE.format(src=str(Path(tabinv.__file__).resolve().parent.parent))
+    argv = [sys.executable, "-I", "-c", code, "stats", "--input", "-", "--pairs"]
+    with subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdin.write("".join(f"{i}\n" for i in range(1, 401)).encode())
+        proc.stdin.close()
+        assert proc.stdout.readline() == ("shape=" + ",".join(["1"] * 400) + "\n").encode()
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        assert proc.stderr.read() == b""
 
 
 def test_internal_error_in_enumerate_exits_3(capsys, bad_cycle):

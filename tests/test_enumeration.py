@@ -191,6 +191,10 @@ class TestPartitionsAndCatalog:
         assert format_shape(norm) == "2"
         assert count_syt(s) == count_syt(norm)
 
+    def test_normalize_shape_of_no_cells_is_the_empty_shape(self):
+        assert normalize_shape(Shape((2,), (2,))) == Shape((), ())
+        assert normalize_shape(Shape((3, 3, 1), (3, 3, 1))) == Shape((), ())
+
     def test_catalog_bounds_and_dedup(self):
         shapes = skew_catalog()
         assert len(shapes) == len({(s.outer, s.inner) for s in shapes})
@@ -215,6 +219,11 @@ class TestDistribution:
         p = DistributionPolynomial.from_values([0, 1, 1, 3])
         assert p.coefficients == (1, 2, 0, 1)
         assert p.total == 4
+
+    def test_polynomial_of_no_values_has_no_coefficient(self):
+        p = DistributionPolynomial.from_values([])
+        assert p == DistributionPolynomial(()) and p.total == 0
+        assert DistributionPolynomial.from_values([0]).coefficients == (1,)
 
     def test_polynomial_rejects_trailing_zero(self):
         with pytest.raises(ValueError):

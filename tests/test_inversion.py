@@ -14,6 +14,7 @@ from tabinv import (
     ABOVE,
     BELOW,
     AlgorithmError,
+    Filling,
     LatticePath,
     cinv_statistic,
     classify_side,
@@ -215,12 +216,36 @@ class TestBlocksAndPsi:
 
     def test_traces_are_consistent(self):
         stages = map_trace(T22)
-        result = stages[-1].result
+        result = Tableau(*stages[-1].result)
         assert result == psi(T22)
         assert [st.k for st in stages] == [4, 3]
         inv_stages = map_trace(result, forward=False)
         assert inv_stages[-1].result == T22
         assert [st.k for st in inv_stages] == [3, 4]
+
+    def test_map_trace_builds_no_tableau_and_validates_nothing(self, monkeypatch):
+        # A stage's result is the filling its step's check proved standard:
+        # the trace builds no Tableau and runs no second validation.
+        tableaux = [t for s in skew_catalog(5) for t in enumerate_syt(s)]
+        tableaux += TestRandomLarge.tableaux(80, range(25, 81, 11))
+        built, validated = [], []
+        post_init, validate = Tableau.__post_init__, model.validate_filling
+
+        def building(self):
+            built.append(self)
+            post_init(self)
+
+        def counting(*args):
+            validated.append(args)
+            return validate(*args)
+
+        monkeypatch.setattr(Tableau, "__post_init__", building)
+        monkeypatch.setattr(model, "validate_filling", counting)
+        monkeypatch.setattr(inversion, "validate_filling", counting)
+        for t in tableaux:
+            for forward in (True, False):
+                assert all(type(stage.result) is Filling for stage in map_trace(t, forward))
+        assert built == [] and validated == []
 
     def test_phi_stages_follow_the_forward_definition(self):
         # Each phi_k stage shows the path and blocks that psi_k takes on the
@@ -234,7 +259,7 @@ class TestBlocksAndPsi:
         for s in shapes:
             for t in enumerate_syt(s):
                 for stage in map_trace(t, forward=False):
-                    k, before = stage.k, stage.result
+                    k, before = stage.k, Tableau(*stage.result)
                     assert stage.path == inversion_path(before, k), (t.rows, k)
                     forward = forward_blocks(before, k).blocks
                     assert {frozenset(b) for b in stage.blocks} == {frozenset(b) for b in forward}, (t.rows, k)
@@ -294,7 +319,7 @@ class TestInvStatistic:
         for s in skew_catalog(6, 3, 3):
             for t in enumerate_syt(s):
                 stages = map_trace(t)
-                image = stages[-1].result if stages else t
+                image = Tableau(*stages[-1].result) if stages else t
                 assert image == psi(t)
                 back = map_trace(image, forward=False)
                 assert (back[-1].result if back else image) == t
@@ -486,9 +511,27 @@ class TestCountingCascade:
                 sums = maj_of(pos), comaj_of(pos)
                 assert sw[:2] == [image, STATISTICS["inv"](t.shape, pos, *sums)], t.rows
                 stages = map_trace(rotate_complement(t))
-                turned_image = stages[-1].result if stages else rotate_complement(t)
+                turned_image = Tableau(*stages[-1].result) if stages else rotate_complement(t)
                 ne_values = [rotate_complement_into(turned_image, t.shape), STATISTICS["cinv"](t.shape, pos, *sums)]
                 assert ne[:2] == ne_values, t.rows
+
+    def test_psi_builds_one_grid(self, monkeypatch):
+        # psi builds its image from the grid its cascade ran on; comaj_map
+        # fills a second one to turn its image back into t's shape.
+        grids = []
+        init = _Grid.__init__
+
+        def counting(self, *args, **kwargs):
+            grids.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Grid, "__init__", counting)
+        large = TestRandomLarge.tableaux(80, range(25, 81, 11))
+        for t in itertools.chain([Tableau(Shape(()), ())], _ne_tableaux(5), large):
+            for fn, count in ((psi, 1), (comaj_map, 2)):
+                grids.clear()
+                fn(Tableau(t.shape, t.rows))
+                assert len(grids) == count, (fn.__name__, t.rows)
 
     def test_the_record_leaves_equality_hash_and_repr_alone(self):
         for t in _ne_tableaux(4):
@@ -597,6 +640,25 @@ class TestStepCheck:
             assert accepted == (not validate_filling(t.shape, rows)), (t.rows, cells, new)
             verdicts.append(accepted)
         assert 100 < sum(verdicts) < 500
+
+    @pytest.mark.parametrize(
+        "rows,swap,k,message",
+        [
+            ([[1, 2], [3]], (1, 3), 3, "phi_3: top unused content 2 on the non-anchor side"),
+            ([[1, 2], [3, 4]], (1, 2), 4, "phi_4: contents [1, 2, 3] never joined a simple block"),
+        ],
+        ids=["non-anchor", "never-joined"],
+    )
+    def test_phi_step_names_a_grid_whose_cells_disagree(self, rows, swap, k, message):
+        # pos has two contents trade cells while g still holds them where
+        # they were: a kernel fault that the reverse scan reports itself,
+        # before the step's check.
+        t = tableau_from_rows(rows)
+        grid = _Grid(t.shape, t.positions())
+        a, b = swap
+        grid.pos[a], grid.pos[b] = grid.pos[b], grid.pos[a]
+        with pytest.raises(AlgorithmError, match=rf"^{re.escape(message)}$"):
+            grid.phi_step(k)
 
     def test_cycle_rotates_a_run_of_positions(self):
         grid = _Grid(T22B.shape, T22B.positions())

@@ -282,7 +282,7 @@ def test_value_types_keep_their_contract(monkeypatch):
         "LatticePath(start=(1, 1), steps='SW')",
         "BlockPartition(k=5, anchor_side='above', blocks=(((1, 1),), ((2, 1), (1, 2), (1, 3))))",
         "MapStage(k=4, path=LatticePath(start=(1, 1), steps='WS'), blocks=(((1, 1),), ((1, 2), (2, 1))), "
-        "result=Tableau(shape=Shape(outer=(2, 2), inner=()), rows=((1, 3), (2, 4))))",
+        "result=Filling(shape=Shape(outer=(2, 2), inner=()), rows=((1, 3), (2, 4))))",
         "DistributionPolynomial(coefficients=(1, 0, 2))",
     ]
     for value in values:
