@@ -5,8 +5,11 @@ Exit codes, mapped in `main` alone: 0 success or `--help`, 1 bad input (a
 usage error included), 2 verification failure, 3 internal error (an
 `AlgorithmError` or any other exception that is not bad input: a bug), and
 141 when stdout's reader has gone, as for a producer that SIGPIPE ended.
-Every command builds one record, the dict `--format json` prints, and
-renders its text lines from it.
+Every command builds one record, the dict `--format json` prints, from
+the values the library returns (`json` writes a tuple as an array), and
+renders its text lines from it; `map` renders them only when text is
+printed.  Bad input is what the readers of the user's text reject
+(`_read`): any other `ValueError` is a bug.
 
 One table, `_COMMANDS`, holds each command's handler, help string and
 options: `_parse` reads argv against it, as argparse read it, and
@@ -61,6 +64,20 @@ def _load_tableau(path: str):
     return parse_tableau_text(_read_input(path))
 
 
+class _BadInput(Exception):
+    """The user's text, rejected by the reader that `_read` ran; the one
+    arg is the reader's ValueError."""
+
+
+def _read(reader, value):
+    """reader(value), for a reader of what the user wrote: its ValueError is
+    bad input."""
+    try:
+        return reader(value)
+    except ValueError as e:
+        raise _BadInput(e) from None
+
+
 def _fmt_cell(cell) -> str:
     return f"({cell[0]},{cell[1]})"
 
@@ -73,8 +90,9 @@ def _verdict(ok: bool) -> str:
     return "pass" if ok else "FAIL"
 
 
-def _emit(args, record: dict, lines: list[str]) -> None:
-    """Print the record as JSON, or else the text lines rendered from it."""
+def _emit(args, record: dict, lines) -> None:
+    """Print the record as JSON, or else the text lines rendered from it:
+    `lines` is any iterable of lines, read only when text is printed."""
     if args.format == "json":
         import json  # here, not at the top: a text-mode run never pays its import
 
@@ -84,7 +102,7 @@ def _emit(args, record: dict, lines: list[str]) -> None:
 
 
 def cmd_stats(args) -> int:
-    t = _load_tableau(args.input)
+    t = _read(_load_tableau, args.input)
     pos = t.positions()
     out = tableau_to_json_dict(t)
     out["stats"] = {
@@ -103,22 +121,21 @@ def cmd_stats(args) -> int:
     ips = inversion_path_set(t) if args.paths or args.pairs else None
     if args.paths:
         paths = sorted((t.content(cell), p) for cell, p in ips.paths.items())
-        out["paths"] = [{"start": list(p.start), "steps": p.steps, "content": c} for c, p in paths]
+        out["paths"] = [{"start": p.start, "steps": p.steps, "content": c} for c, p in paths]
         lines += [
             f"path content={p['content']} cell={_fmt_cell(pos[p['content']])} "
             f"start={_fmt_cell(p['start'])} steps={p['steps'] or '-'}"
             for p in out["paths"]
         ]
     if args.pairs:
-        pairs = sorted((t.content(big), t.content(small)) for big, small in ips.pairs)
-        out["pairs"] = [list(pair) for pair in pairs]
+        out["pairs"] = sorted((t.content(big), t.content(small)) for big, small in ips.pairs)
         lines += [f"pair larger={big} smaller={small}" for big, small in out["pairs"]]
     _emit(args, out, lines)
     return 0
 
 
 def cmd_map(args) -> int:
-    t = _load_tableau(args.input)
+    t = _read(_load_tableau, args.input)
     forward = args.direction == "forward"
     result = psi(t) if forward else phi(t)
     source, image = (t, result) if forward else (result, t)  # psi's input end and output end
@@ -129,23 +146,26 @@ def cmd_map(args) -> int:
         "inv": inv_statistic(source),
         "maj": maj(image),
     }
-    lines = []
-    if args.trace:  # the stages only print: the image and the statistics come from psi or phi
-        out["stages"], label = [], "psi" if forward else "phi"
-        for st in map_trace(t, forward):
-            path = {"start": list(st.path.start), "steps": st.path.steps}
-            blocks = [[list(c) for c in block] for block in st.blocks]
-            out["stages"].append({"k": st.k, "path": path, "blocks": blocks, "result": tableau_to_json_dict(st.result)})
-            cells = " ".join("[" + ",".join(map(_fmt_cell, block)) + "]" for block in blocks)
-            lines += [
-                f"stage {label} k={st.k} start={_fmt_cell(path['start'])} steps={path['steps'] or '-'}",
-                f"blocks: {cells or '-'}",
-                *tableau_to_text(st.result).splitlines(),
-                "",
-            ]
-    lines += tableau_to_text(result).splitlines()
-    lines.append(f"inv={out['inv']} maj={out['maj']}")
-    _emit(args, out, lines)
+    # The stages only print: the image and the statistics come from psi or phi.
+    stages = map_trace(t, forward) if args.trace else ()
+    if args.trace:
+        out["stages"] = [
+            {"k": st.k, "path": st.path._asdict(), "blocks": st.blocks, "result": tableau_to_json_dict(st.result)}
+            for st in stages
+        ]
+
+    def lines():
+        label = "psi" if forward else "phi"
+        for st in stages:
+            cells = " ".join("[" + ",".join(map(_fmt_cell, block)) + "]" for block in st.blocks)
+            yield f"stage {label} k={st.k} start={_fmt_cell(st.path.start)} steps={st.path.steps or '-'}"
+            yield f"blocks: {cells or '-'}"
+            yield from tableau_to_text(st.result).splitlines()
+            yield ""
+        yield from tableau_to_text(result).splitlines()
+        yield f"inv={out['inv']} maj={out['maj']}"
+
+    _emit(args, out, lines())
     if out["inv"] != out["maj"]:
         print("error: inv/maj mismatch", file=sys.stderr)
         return 2
@@ -153,9 +173,9 @@ def cmd_map(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    shape = parse_shape(args.shape)
+    shape = _read(parse_shape, args.shape)
     stats = list(dict.fromkeys(s.strip() for s in args.stat.split(",") if s.strip()))
-    _check_statistics(stats)
+    _read(_check_statistics, stats)
     names = list(dict.fromkeys(stats + (list(REPORT_VALUES) if args.check else [])))
     values = statistic_values(shape, names, workers=args.par)
     polys = {s: DistributionPolynomial.from_values(values[s]) for s in stats}
@@ -166,7 +186,7 @@ def cmd_enumerate(args) -> int:
             {
                 "shape": format_shape(shape),
                 "stat": s,
-                "coefficients": list(polys[s].coefficients),
+                "coefficients": polys[s].coefficients,
                 "count": polys[s].total,
             }
             for s in stats
@@ -184,9 +204,9 @@ def cmd_enumerate(args) -> int:
             "classes": [
                 {
                     "stats": f"{c.stat_a}~{c.stat_b}",
-                    "cell": list(c.pinned_cell) if c.pinned_cell else None,
-                    "poly_a": list(c.poly_a.coefficients),
-                    "poly_b": list(c.poly_b.coefficients),
+                    "cell": c.pinned_cell,
+                    "poly_a": c.poly_a.coefficients,
+                    "poly_b": c.poly_b.coefficients,
                     "ok": c.ok,
                 }
                 for c in report.classes
@@ -203,7 +223,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_foata(args) -> int:
-    p = parse_permutation(args.perm)
+    p = _read(parse_permutation, args.perm)
     if args.bridge:
         report = bridge_check(p)
         routes = {
@@ -229,7 +249,7 @@ def cmd_foata(args) -> int:
 
 
 def cmd_render(args) -> int:
-    t = _load_tableau(args.input)
+    t = _read(_load_tableau, args.input)
     _emit(args, tableau_to_json_dict(t), render(t).splitlines())
     return 0
 
@@ -504,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
         except (AttributeError, OSError, ValueError):
             pass  # a stream with no descriptor, as an in-process caller's may be
         return 141
-    except (ValueError, OSError) as e:
+    except (_BadInput, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # a bug: an AlgorithmError names its step, any other exception its type

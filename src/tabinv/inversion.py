@@ -267,10 +267,13 @@ class _Grid:
         contents, which cycles one place the other way from `psi_step`
         before the path's next step; cycling trades only the cells of
         contents that have joined a block, so the sides of the others stay
-        true.  The step is checked once, on all the contents it moved.
+        true.  The step is checked once, on all the contents it moved; a
+        grid whose pos does not hold k's own cell fails before the step.
         """
         g, pos = self.g, self.pos
         r, s = pos[k]
+        if g[r][s] != k:
+            raise AlgorithmError(f"phi_{k}: content {k} is not in its cell {pos[k]}")
         anchor = r > pos[k - 1][0]  # k-1 is a descent: anchored below the path
         x, y = s - 1, r - 1
         side = [i <= r if j > x else (None if i <= y else False) for i, j in pos[:k]]

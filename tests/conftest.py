@@ -50,6 +50,10 @@ CLI_CASES: list[tuple[str, list[str]]] = [
         ["map", "--input", str(FIXTURES / "skew_321_21.txt"), "--trace"],
     ),
     (
+        "map_trace_skew_321_21.json",
+        ["map", "--input", str(FIXTURES / "skew_321_21.txt"), "--trace", "--format", "json"],
+    ),
+    (
         "map_trace_inverse_skew_321_21.txt",
         ["map", "--input", str(FIXTURES / "skew_321_21.txt"), "--trace", "--direction", "inverse"],
     ),
@@ -63,6 +67,10 @@ CLI_CASES: list[tuple[str, list[str]]] = [
     (
         "enumerate_check_skew_22_1.txt",
         ["enumerate", "--shape", "2,2/1", "--check"],
+    ),
+    (
+        "enumerate_check_skew_22_1.json",
+        ["enumerate", "--shape", "2,2/1", "--check", "--format", "json"],
     ),
     (
         "enumerate_stats_32.txt",

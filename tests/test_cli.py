@@ -64,6 +64,18 @@ def test_golden(golden_name, argv, capsys):
     assert out == expected, f"output drifted for {golden_name}"
 
 
+def test_map_trace_renders_no_text_for_json(capsys, monkeypatch):
+    # The stages' text lines are built only when text is printed.
+    def refuse(*args):
+        raise AssertionError("text rendered for --format json")
+
+    monkeypatch.setattr(cli, "tableau_to_text", refuse)
+    monkeypatch.setattr(cli, "_fmt_cell", refuse)
+    argv = ["map", "--input", str(FIXTURES / "skew_321_21.txt"), "--trace", "--format", "json"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / "map_trace_skew_321_21.json").read_text()
+
+
 def test_stats_json_is_valid_json(capsys):
     main(["stats", "--input", str(FIXTURES / "straight_2x2.txt"), "--format", "json"])
     data = json.loads(capsys.readouterr().out)
@@ -210,6 +222,16 @@ def test_bad_tableau_file_is_a_user_error(tmp_path, capsys):
 def test_missing_file_is_a_user_error(capsys):
     assert main(["stats", "--input", "/nonexistent/tableau.txt"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_a_file_not_in_utf_8_is_a_user_error(tmp_path, capsys):
+    # Decoding is part of reading the user's text: its ValueError is bad input.
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"1 2\n3 \xe9\n")
+    assert main(["map", "--input", str(latin1), "--trace"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 'utf-8' codec can't decode ") and captured.err.count("\n") == 1
 
 
 def test_unknown_statistic_is_a_user_error(capsys):
@@ -484,18 +506,28 @@ def test_internal_error_exits_3(capsys, bad_cycle):
     assert len(captured.err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("direction", ["forward", "inverse"])
-def test_any_other_exception_is_an_internal_error(direction, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "direction,error",
+    [
+        ("forward", IndexError("list index out of range")),
+        ("inverse", IndexError("list index out of range")),
+        ("forward", ValueError("internal slip")),
+        ("inverse", ValueError("internal slip")),
+    ],
+    ids=["forward", "inverse", "forward-ValueError", "inverse-ValueError"],
+)
+def test_any_other_exception_is_an_internal_error(direction, error, capsys, monkeypatch):
     # Not only AlgorithmError: any exception that escapes a command and is
-    # not bad input is a bug, exit 3, with one line that names its type.
+    # not bad input is a bug, exit 3, with one line that names its type.  A
+    # ValueError is bad input only when a reader of the user's text raises it.
     def broken(t):
-        raise IndexError("list index out of range")
+        raise error
 
     monkeypatch.setattr(cli, "psi" if direction == "forward" else "phi", broken)
     assert main(["map", "--input", str(FIXTURES / "straight_2x2.txt"), "--direction", direction]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "internal error: IndexError: list index out of range\n"
+    assert captured.err == f"internal error: {type(error).__name__}: {error}\n"
 
 
 class _ClosedPipe(io.StringIO):

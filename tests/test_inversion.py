@@ -644,15 +644,19 @@ class TestStepCheck:
     @pytest.mark.parametrize(
         "rows,swap,k,message",
         [
-            ([[1, 2], [3]], (1, 3), 3, "phi_3: top unused content 2 on the non-anchor side"),
+            ([[1, 2], [3]], (1, 3), 3, "phi_3: content 3 is not in its cell (1, 1)"),
+            ([[1, 2], [3, 4], [5, 6]], (3, 6), 3, "phi_3: content 3 is not in its cell (3, 2)"),
+            ([[1, 2], [3, 4]], (2, 4), 3, "phi_3: top unused content 2 on the non-anchor side"),
             ([[1, 2], [3, 4]], (1, 2), 4, "phi_4: contents [1, 2, 3] never joined a simple block"),
         ],
-        ids=["non-anchor", "never-joined"],
+        ids=["pivot-moved", "pivot-moved-off-the-grid", "non-anchor", "never-joined"],
     )
     def test_phi_step_names_a_grid_whose_cells_disagree(self, rows, swap, k, message):
         # pos has two contents trade cells while g still holds them where
-        # they were: a kernel fault that the reverse scan reports itself,
-        # before the step's check.
+        # they were: a kernel fault that the reverse step reports itself,
+        # before the step's check.  A pivot whose own cell moved stops at
+        # once: on "pivot-moved-off-the-grid" the step would write past the
+        # grid's border.
         t = tableau_from_rows(rows)
         grid = _Grid(t.shape, t.positions())
         a, b = swap
