@@ -118,9 +118,10 @@ def cmd_stats(args) -> int:
         f"{key}={_fmt_list(value) if isinstance(value, list) else value}"
         for key, value in out["stats"].items()
     ]
-    ips = inversion_path_set(t) if args.paths or args.pairs else None
+    if args.paths or args.pairs:  # the path set's cells are t's, so pos labels them
+        ips, content = inversion_path_set(t), {cell: c for c, cell in enumerate(pos) if c}
     if args.paths:
-        paths = sorted((t.content(cell), p) for cell, p in ips.paths.items())
+        paths = sorted((content[cell], p) for cell, p in ips.paths.items())
         out["paths"] = [{"start": p.start, "steps": p.steps, "content": c} for c, p in paths]
         lines += [
             f"path content={p['content']} cell={_fmt_cell(pos[p['content']])} "
@@ -128,7 +129,7 @@ def cmd_stats(args) -> int:
             for p in out["paths"]
         ]
     if args.pairs:
-        out["pairs"] = sorted((t.content(big), t.content(small)) for big, small in ips.pairs)
+        out["pairs"] = sorted((content[big], content[small]) for big, small in ips.pairs)
         lines += [f"pair larger={big} smaller={small}" for big, small in out["pairs"]]
     _emit(args, out, lines)
     return 0

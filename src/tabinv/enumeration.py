@@ -6,21 +6,23 @@ from __future__ import annotations
 import os
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .inversion import AlgorithmError, _Grid, _inversions
+from .inversion import AlgorithmError, _inversions
 from .model import Cell, Shape, Tableau, _Checked
 
 # Each statistic of an SYT of shape s from pos, where pos[c] is the cell of
 # content c, and its maj and comaj, as `_fillings` yields them: the values
 # of stats.maj, stats.comaj, inversion.inv_statistic and
 # inversion.cinv_statistic.  maj and comaj are the descent sums the walk
-# keeps, one step per placement, so the pass calls no stats function.  The
-# filling is not validated, so pos must come from `_fillings`, whose
-# placement guard proved it standard.
+# keeps, one step per placement, so the pass calls no stats function; inv
+# and cinv run the forward cascade that Tableau records (`_inversions`) on
+# pos itself, building no Tableau.  The filling is not validated, so pos
+# must come from `_fillings`, whose placement guard proved it standard.
+# A dict of the four names, so that a tracer can wrap its entries.
 STATISTICS: dict[str, Callable[[Shape, list[Cell], int, int], int]] = {
     "maj": lambda s, pos, maj, comaj: maj,
     "comaj": lambda s, pos, maj, comaj: comaj,
-    "inv": lambda s, pos, maj, comaj: _inversions(_Grid(s, pos)).count(),
-    "cinv": lambda s, pos, maj, comaj: _inversions(_Grid(s, pos, turned=True)).count(),
+    "inv": lambda s, pos, maj, comaj: _inversions(s, pos).count(),
+    "cinv": lambda s, pos, maj, comaj: _inversions(s, pos, turned=True).count(),
 }
 
 

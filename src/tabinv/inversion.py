@@ -26,7 +26,10 @@ the paper's abstract (PAPER.md) does not fix it.  Paths are only outputs:
 a function that needs one works it out from the tableau and the pivot.
 
 The inversion statistic is counted from the paths the forward cascade
-records (`_Cascade`): each path counts the cells below it (`_below`), with
+records (`_Cascade`), one per pivot, n down to 1, each the path its own
+`psi_step` takes: pivots 2 and 1 cycle nothing, and the path of 1, taken
+where 1 ends up, is the trivial path at the lower-left corner of that
+exempt cell.  Each path counts the cells below it (`_below`), with
 no pair built; only the callers that return the pairs build them
 (`_pairs`), from the same paths and the same rule.  A Tableau runs each
 forward cascade, SW and NE, at most once: its record (`_forward`) stays on
@@ -235,8 +238,8 @@ class _Grid:
                     raise AlgorithmError(f"{context} produced an invalid tableau: {violations}")
 
     def psi_step(self, k: int) -> tuple[list[int], list[tuple[int, int]]]:
-        """Forward cycling for pivot k >= 3 along its inversion path;
-        returns the path's heights and the blocks it cycled (`_blocks`)."""
+        """Forward cycling for pivot k along its inversion path; returns the
+        path's heights and the blocks it cycled (`_blocks`), none for k <= 2."""
         h = self.heights(k)
         moved = _blocks(self.pos, h, k)
         if moved:
@@ -245,8 +248,8 @@ class _Grid:
         return h, moved
 
     def phi_step(self, k: int) -> list[tuple[int, int]]:
-        """Reverse cycling for pivot k >= 3; returns the blocks [a, b) of two
-        or more contents it cycled, from the top down.
+        """Reverse cycling for pivot k; returns the blocks [a, b) of two or
+        more contents it cycled, from the top down (none for k <= 2).
 
         The path grows from the cell (r, s) of k one step at a time.
         side[c] holds whether content c < k lies below the partial path, or
@@ -383,20 +386,21 @@ def _cycled(t: Tableau, step, pivots) -> Tableau:
 
 
 def psi_k(t: Tableau, k: int) -> Tableau:
-    """One forward cycling step for pivot k (identity for k <= 2)."""
+    """One forward cycling step for pivot k (pivots 1 and 2 cycle nothing)."""
     _check_pivot(t, k)
-    return _cycled(t, _Grid.psi_step, [k] if k > 2 else [])
+    return _cycled(t, _Grid.psi_step, [k])
 
 
 def psi(t: Tableau) -> Tableau:
-    """Composite forward map, pivots n down to 3; sends Inv to maj."""
+    """Composite forward map, pivots n down to 1 (2 and 1 cycle nothing);
+    sends Inv to maj."""
     return _forward(t).grid.tableau()
 
 
 def phi_k(s: Tableau, k: int) -> Tableau:
     """Inverse of psi_k, by reverse cycling along the reconstructed path."""
     _check_pivot(s, k)
-    return _cycled(s, _Grid.phi_step, [k] if k > 2 else [])
+    return _cycled(s, _Grid.phi_step, [k])
 
 
 def phi(s: Tableau) -> Tableau:
@@ -420,7 +424,12 @@ class InversionPathSet(NamedTuple):
 
 
 class _Cascade(NamedTuple):
-    """One forward cascade, as `_inversions` records it.  Read only."""
+    """One forward cascade, as `_inversions` records it.  Read only.
+
+    paths holds (start cell, column heights) for pivots n down to 1, each
+    the path `psi_step` took; the last is the exempt cell's trivial path.
+    start is the grid's contents and cell of each content before the first
+    step; grid is the grid after the last."""
 
     paths: list[tuple[Cell, list[int]]]
     start: tuple[list[list[int]], list[Cell]]
@@ -431,26 +440,26 @@ class _Cascade(NamedTuple):
         return len(_below(*self.start, self.paths))
 
 
-def _inversions(grid: _Grid) -> _Cascade:
-    """Run the forward cascade on grid and record every path that anchors
-    inversion pairs, the grid's starting contents, on which they count
-    (`_below`), and the grid itself, which then holds the output end: the
-    inversion paths of pivots n down to 2, each taken just before its own
-    cycling step (pivot 2 cycles nothing), then the trivial path at the
-    lower-left corner of the exempt cell.  The statistic is the number of
-    counted cells (`_Cascade.count`); only the callers that return pairs
-    build them (`_pairs`).
+def _inversions(shape: Shape, pos: list[Cell], turned: bool = False) -> _Cascade:
+    """Run the forward cascade on the grid of the filling of shape with
+    content c in cell pos[c] (turned if `turned`, as `_Grid` is) and record
+    every path that anchors inversion pairs, the grid's starting contents,
+    on which they count (`_below`), and the grid itself, which then holds
+    the output end.  By one rule for every pivot, k = n down to 1, the path
+    is the one `psi_step` takes from the cell of k just before it cycles.
+    Pivots 2 and 1 cycle nothing, and 1, the smallest content, has no
+    neighbour to its left or below, so its path, taken where 1 ends up, is
+    the trivial path at the lower-left corner of that exempt cell.  The
+    statistic is the number of counted cells (`_Cascade.count`); only the
+    callers that return pairs build them (`_pairs`).
 
     Once pivot k has cycled, content k never moves again, so the path start
-    cells are distinct and the exempt cell is where 1 ends up.
+    cells are distinct.
     """
+    grid = _Grid(shape, pos, turned)
     pos = grid.pos
     start = [row[:] for row in grid.g], pos[:]
-    paths = [(pos[k], grid.psi_step(k)[0] if k > 2 else grid.heights(k)) for k in range(len(pos) - 1, 1, -1)]
-    if len(pos) > 1:
-        i, j = pos[1]
-        paths.append(((i, j), [0] * j + [i] * (grid.width + 1 - j)))
-    return _Cascade(paths, start, grid)
+    return _Cascade([(pos[k], grid.psi_step(k)[0]) for k in range(len(pos) - 1, 0, -1)], start, grid)
 
 
 def _forward(t: Tableau, turned: bool = False) -> _Cascade:
@@ -464,7 +473,7 @@ def _forward(t: Tableau, turned: bool = False) -> _Cascade:
     key = "_ne_cascade" if turned else "_sw_cascade"
     record = t.__dict__.get(key)
     if record is None:
-        record = _inversions(_Grid(t.shape, t.positions(), turned))
+        record = _inversions(t.shape, t.positions(), turned)
         object.__setattr__(t, key, record)  # Tableau is frozen; its fields stay as they are
     return record
 
@@ -500,8 +509,10 @@ def inversion_pairs(t: Tableau) -> set[tuple[Cell, Cell]]:
     """Ordered cell pairs whose smaller content lies below the larger cell's
     inversion path.
 
-    The exempt cell anchors pairs through the trivial (empty) path at its
-    own lower-left corner, so every smaller content weakly south-east of it
+    The exempt cell, where 1 ends up, anchors pairs through pivot 1's path,
+    found by the rule of every other pivot: 1 has no neighbour to its left
+    or below, so that is the trivial (empty) path at the cell's own
+    lower-left corner, and every smaller content weakly south-east of it
     counts.  On a straight shape the exempt cell is (1, 1), which holds 1
     and therefore anchors nothing; on skew shapes the rule is what makes
     the statistic match the major index of the composite map.
@@ -543,7 +554,8 @@ def inv_code(t: Tableau) -> list[int]:
     code = [0] * t.n
     paths, start, _ = _forward(t)
     for path in paths:
-        code[t.content(path[0]) - 1] = len(_below(*start, [path]))
+        i, j = path[0]
+        code[start[0][i][j] - 1] = len(_below(*start, [path]))  # start[0] is t's own grid
     return code
 
 

@@ -21,6 +21,7 @@ import tabinv.cli as cli
 from conftest import CLI_CASES, FIXTURES, GOLDEN, run_cli_case
 from tabinv.cli import main
 from tabinv.model import (
+    Tableau,
     TableauError,
     parse_shape,
     parse_tableau_text,
@@ -62,6 +63,19 @@ def test_golden(golden_name, argv, capsys):
     out = run_cli_case(argv, capsys)
     expected = (GOLDEN / golden_name).read_text()
     assert out == expected, f"output drifted for {golden_name}"
+
+
+@pytest.mark.parametrize(
+    "golden_name,argv", [pytest.param(name, argv, id=name) for name, argv in CLI_CASES if name.startswith("stats_")]
+)
+def test_stats_labels_paths_and_pairs_from_its_positions(golden_name, argv, capsys, monkeypatch):
+    # The path set's cells are the tableau's own, so stats labels them from
+    # the positions it already has, with no shape-checked Tableau.content.
+    def refuse(*args):
+        raise AssertionError("Tableau.content called")
+
+    monkeypatch.setattr(Tableau, "content", refuse)
+    assert run_cli_case(argv, capsys) == (GOLDEN / golden_name).read_text()
 
 
 def test_map_trace_renders_no_text_for_json(capsys, monkeypatch):
@@ -428,11 +442,13 @@ def test_enumerate_rejects_par_below_one(par, capsys):
     ids=["forward", "inverse", "forward-trace", "inverse-trace"],
 )
 def test_map_runs_each_cascade_once(direction, trace, tmp_path, capsys, monkeypatch):
-    # Forward, psi and inv read one psi cascade of the input.  Inverse, phi
-    # runs its cascade, and inv is counted on the psi cascade of phi's
-    # result, the record that psi(phi(t)) reads.  Untraced, no stage is
-    # built; --trace then runs map_trace's own walk once, after them: for
-    # an inverse trace that is a second phi run.
+    # Forward, psi and inv read one psi cascade of the input, pivots 7 down
+    # to 1.  Inverse, phi runs its cascade, pivots 3 up to 7, and inv is
+    # counted on the psi cascade of phi's result, the record that
+    # psi(phi(t)) reads.  Untraced, no stage is built; --trace then runs
+    # map_trace's own walk once, after them, over the pivots a stage
+    # prints, 7 down to 3 or 3 up to 7: for an inverse trace that is a
+    # second phi run.
     from tabinv.inversion import _Grid
 
     calls = []
@@ -454,9 +470,9 @@ def test_map_runs_each_cascade_once(direction, trace, tmp_path, capsys, monkeypa
     path.write_text("shape: 3,2,2\n1 2 5\n3 4\n6 7\n")
     assert main(["map", "--input", str(path), "--direction", direction] + (["--trace"] if trace else [])) == 0
     capsys.readouterr()
-    psi_cascade, phi_cascade = ["psi_step"] * 5, ["phi_step"] * 5
+    psi_cascade, phi_cascade = ["psi_step"] * 7, ["phi_step"] * 5
     if direction == "forward":
-        expected, walk = psi_cascade, psi_cascade
+        expected, walk = psi_cascade, ["psi_step"] * 5
     else:
         expected, walk = phi_cascade + psi_cascade, phi_cascade
     assert calls == expected + (walk if trace else [])

@@ -187,6 +187,14 @@ class TestBlocksAndPsi:
         assert psi_k(T22B, 4) == T22
         assert psi_k(T22, 4) == T22B
 
+    def test_pivots_1_and_2_cycle_nothing(self):
+        # Below 1 there is no content and below 2 only 1, which makes no
+        # block of two, so either step leaves every tableau as it is.
+        for s in skew_catalog(6):
+            for t in enumerate_syt(s):
+                for k in range(1, min(t.n, 2) + 1):
+                    assert psi_k(t, k) == t == phi_k(t, k), (t.rows, k)
+
     def test_psi_k_identity_on_single_row(self):
         t = tableau_from_rows([[1, 2, 3, 4]])
         for k in range(3, 5):
@@ -290,8 +298,7 @@ class TestInvStatistic:
             u = t
             for k in range(t.n, 1, -1):
                 assert ips.paths[u.positions()[k]] == inversion_path(u, k)
-                if k >= 3:
-                    u = psi_k(u, k)
+                u = psi_k(u, k)
             assert u == psi(t)
             assert ips.exempt == u.positions()[1]
 
@@ -300,6 +307,19 @@ class TestInvStatistic:
             code = inv_code(t)
             assert sum(code) == inv_statistic(t)
             assert all(0 <= code[k - 1] <= k - 1 for k in range(1, t.n + 1))
+
+    def test_exempt_cell_counts_the_smaller_contents_south_east_of_it(self):
+        # Independent of how a path is traced: the pairs whose larger cell is
+        # the exempt cell (i, j) are exactly the cells with a smaller content
+        # that lie weakly south-east of it, row <= i and column >= j.
+        for s in skew_catalog():
+            for t in enumerate_syt(s):
+                ips = inversion_path_set(t)
+                i, j = ips.exempt
+                top = t.content(ips.exempt)
+                counted = {small for big, small in ips.pairs if big == ips.exempt}
+                cells = t.positions()[1:top]
+                assert counted == {(r, c) for r, c in cells if r <= i and c >= j}, t.rows
 
     def test_skew_exempt_cell_anchors_pairs(self):
         # The exempt cell holds content 2 here; its weakly-SE neighbor with
@@ -478,7 +498,7 @@ class TestCountingCascade:
             tableau_from_rows([[1, 2, 5], [3, 4, 6], [7]]),
             make_tableau(parse_shape("4,3,2/2,1"), [[None, None, 1, 3], [None, 2, 5], [4, 6]]),
         ):
-            cascade = t.n - 2
+            cascade = t.n  # pivots n down to 1, 2 and 1 cycling nothing
             steps.clear()
             first(t)
             assert len(steps) == cascade
