@@ -4,7 +4,8 @@ equidistribution checks."""
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterator, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Iterator, Sequence
 
 from .inversion import AlgorithmError, _inversions
 from .model import Cell, Shape, Tableau, _Checked
@@ -231,12 +232,10 @@ def skew_catalog(max_cells: int = 8, max_rows: int = 4, max_width: int = 4) -> l
     return sorted(shapes, key=lambda s: (s.size, s.outer, s.inner))
 
 
-class _PolynomialFields(NamedTuple):
-    coefficients: tuple[int, ...]
+class DistributionPolynomial(_Checked, namedtuple("DistributionPolynomial", "coefficients")):
+    """Nonnegative integer coefficients; index is the exponent of q.
 
-
-class DistributionPolynomial(_Checked, _PolynomialFields):
-    """Nonnegative integer coefficients; index is the exponent of q."""
+    coefficients: tuple[int, ...]."""
 
     __slots__ = ()
 
@@ -341,24 +340,26 @@ def _prefix_values(s: Shape, prefix: tuple[int, ...], names: list[str]) -> dict[
     return {name: column for name, (_, column) in zip(names, columns)}
 
 
-class ClassReport(NamedTuple):
+class ClassReport(namedtuple("ClassReport", "stat_a stat_b pinned_cell poly_a poly_b")):
     """One equidistribution comparison, optionally restricted to the class of
-    tableaux with a pinned content in a given cell."""
+    tableaux with a pinned content in a given cell.
 
-    stat_a: str
-    stat_b: str
-    pinned_cell: Cell | None
-    poly_a: DistributionPolynomial
-    poly_b: DistributionPolynomial
+    stat_a, stat_b: str; pinned_cell: Cell | None;
+    poly_a, poly_b: DistributionPolynomial."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.poly_a == self.poly_b
 
 
-class EquidistributionReport(NamedTuple):
-    shape: Shape
-    classes: list[ClassReport]
+class EquidistributionReport(namedtuple("EquidistributionReport", "shape classes")):
+    """Every comparison of `equidistribution_report` on one shape.
+
+    shape: Shape; classes: list[ClassReport]."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

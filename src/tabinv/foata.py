@@ -3,7 +3,7 @@ tableau maps via staircase skew shapes."""
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .inversion import phi
 from .model import Shape, Tableau, _decimal, make_tableau
@@ -157,14 +157,16 @@ def read_staircase(t: Tableau) -> Permutation:
     return check_permutation(tuple(values))
 
 
-class BridgeReport(NamedTuple):
+class BridgeReport(namedtuple("BridgeReport", "perm tableau_route direct_route foata_route")):
     """Three-way agreement between the tableau map on staircases, the
-    permutation-level reverse cycling, and Foata's map on the inverse."""
+    permutation-level reverse cycling, and Foata's map on the inverse.
 
-    perm: Permutation
-    tableau_route: Permutation  # inverse of the staircase readout of phi
-    direct_route: Permutation  # inverse of the permutation-level map
-    foata_route: Permutation  # foata applied to the inverse permutation
+    Every field is a Permutation: perm; tableau_route, the inverse of the
+    staircase readout of phi; direct_route, the inverse of the
+    permutation-level map; foata_route, foata applied to the inverse
+    permutation."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

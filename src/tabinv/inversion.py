@@ -48,7 +48,7 @@ the whole result.  A failed check is a bug, raised as AlgorithmError.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .model import Cell, Filling, Shape, Tableau, _rotated_shape, _turned, validate_filling
 
@@ -60,19 +60,21 @@ class AlgorithmError(RuntimeError):
     """Internal consistency failure; signals a bug, never bad user input."""
 
 
-class LatticePath(NamedTuple):
-    """A monotone unit-step path; start is a lattice point (x, y)."""
+class LatticePath(namedtuple("LatticePath", "start steps")):
+    """A monotone unit-step path; start is a lattice point (x, y).
 
-    start: tuple[int, int]
-    steps: str  # "S"/"W" for SW paths, "N"/"E" for NE paths
+    start: tuple[int, int]; steps: str, "S"/"W" for SW paths, "N"/"E" for
+    NE paths."""
+
+    __slots__ = ()
 
 
-class BlockPartition(NamedTuple):
-    """Cycling blocks for one pivot; cells listed in increasing content order."""
+class BlockPartition(namedtuple("BlockPartition", "k anchor_side blocks")):
+    """Cycling blocks for one pivot; cells listed in increasing content order.
 
-    k: int
-    anchor_side: str
-    blocks: tuple[tuple[Cell, ...], ...]
+    k: int; anchor_side: str; blocks: tuple[tuple[Cell, ...], ...]."""
+
+    __slots__ = ()
 
 
 def _lattice_path(cell: Cell, h: list[int]) -> LatticePath:
@@ -93,7 +95,10 @@ def _blocks(pos: list[Cell], h: list[int], k: int) -> list[tuple[int, int]]:
     Scanned in increasing content order, a content on the side of the cell
     of 1 opens a block and one on the other side extends the current one,
     so each block is a run of consecutive contents.  Blocks of one content,
-    which cycling leaves alone, are left out (`_partition` adds them)."""
+    which cycling leaves alone, are left out (`_partition` adds them).
+    Below 3 no run of two contents fits, so there is nothing to scan."""
+    if k < 3:
+        return []
     i, j = pos[1]
     anchor = i <= h[j]
     runs: list[tuple[int, int]] = []
@@ -367,15 +372,15 @@ def classify_side(t: Tableau, k: int, cell: Cell) -> str:
     return BELOW if i <= _Grid(t.shape, t.positions()).heights(k)[j] else ABOVE
 
 
-class MapStage(NamedTuple):
+class MapStage(namedtuple("MapStage", "k path blocks result")):
     """One pivot step of a trace: its path, its blocks and the filling after
     it, which the step's check (`_Grid.check`) proved standard;
-    `Tableau(*stage.result)` checks it again."""
+    `Tableau(*stage.result)` checks it again.
 
-    k: int
-    path: LatticePath
-    blocks: tuple[tuple[Cell, ...], ...]
-    result: Filling
+    k: int; path: LatticePath; blocks: tuple[tuple[Cell, ...], ...];
+    result: Filling."""
+
+    __slots__ = ()
 
 
 def _cycled(t: Tableau, step, pivots) -> Tableau:
@@ -408,7 +413,7 @@ def phi(s: Tableau) -> Tableau:
     return _cycled(s, _Grid.phi_step, range(3, s.n + 1))
 
 
-class InversionPathSet(NamedTuple):
+class InversionPathSet(namedtuple("InversionPathSet", "paths exempt pairs")):
     """One path per cell, except one exempt cell, and the ordered pairs
     (path cell, counted cell) of the statistic they define.
 
@@ -416,24 +421,24 @@ class InversionPathSet(NamedTuple):
     cascade's tableau just before that pivot's step.  Labelled with the
     content c the cell holds in the input (as `stats --paths` does), it
     equals `inversion_path(t, c)` for c = n but not in general.  The empty
-    tableau has no cell, so no path and no exempt cell (None)."""
+    tableau has no cell, so no path and no exempt cell (None).
 
-    paths: dict[Cell, LatticePath]
-    exempt: Cell | None
-    pairs: set[tuple[Cell, Cell]]
+    paths: dict[Cell, LatticePath]; exempt: Cell | None;
+    pairs: set[tuple[Cell, Cell]]."""
+
+    __slots__ = ()
 
 
-class _Cascade(NamedTuple):
+class _Cascade(namedtuple("_Cascade", "paths start grid")):
     """One forward cascade, as `_inversions` records it.  Read only.
 
-    paths holds (start cell, column heights) for pivots n down to 1, each
-    the path `psi_step` took; the last is the exempt cell's trivial path.
-    start is the grid's contents and cell of each content before the first
-    step; grid is the grid after the last."""
+    paths: list[tuple[Cell, list[int]]], (start cell, column heights) for
+    pivots n down to 1, each the path `psi_step` took; the last is the
+    exempt cell's trivial path.  start: tuple[list[list[int]], list[Cell]],
+    the grid's contents and cell of each content before the first step.
+    grid: _Grid, the grid after the last."""
 
-    paths: list[tuple[Cell, list[int]]]
-    start: tuple[list[list[int]], list[Cell]]
-    grid: _Grid
+    __slots__ = ()
 
     def count(self) -> int:
         """The inversion statistic the paths count (`_below`)."""

@@ -7,7 +7,7 @@ outer/inner with inner contained in outer; a straight shape has empty inner.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 Cell = tuple[int, int]  # (row, col), both 1-based
 
@@ -34,14 +34,16 @@ def _check_parts(parts: tuple[int, ...], what: str) -> None:
 
 
 class _Checked:
-    """Base of a NamedTuple subclass whose construction checks its fields:
+    """Base of a namedtuple subclass whose construction checks its fields:
     every way to build one, `_make`, `_replace`, `pickle` and `copy`
-    included, runs the class's `__post_init__`, looked up when it runs.
-    Listed before the NamedTuple among the bases, so its `_make` is the one
-    found.
+    (`copy.replace` too, on Python 3.13) included, runs the class's
+    `__post_init__`, looked up when it runs.  Listed before the namedtuple
+    among the bases, so its `_make` is the one found.
 
-    The value types are NamedTuples because defining them costs a cold
-    start next to nothing (see README's Start-up section)."""
+    The value types are `collections.namedtuple`s because defining them
+    costs a cold start next to nothing, and `src/` imports no `typing`
+    (see README's Start-up section).  They carry no `__annotations__`:
+    each one's docstring gives its field types."""
 
     __slots__ = ()
 
@@ -57,13 +59,10 @@ class _Checked:
         return type(self), tuple(self)
 
 
-class _ShapeFields(NamedTuple):
-    outer: tuple[int, ...]
-    inner: tuple[int, ...] = ()
+class Shape(_Checked, namedtuple("Shape", "outer inner", defaults=((),))):
+    """A straight or skew Ferrers diagram, outer minus inner.
 
-
-class Shape(_Checked, _ShapeFields):
-    """A straight or skew Ferrers diagram, outer minus inner."""
+    outer: tuple[int, ...]; inner: tuple[int, ...], () by default."""
 
     __slots__ = ()
 
@@ -161,12 +160,13 @@ def format_shape(s: Shape) -> str:
     return out
 
 
-class Filling(NamedTuple):
+class Filling(namedtuple("Filling", "shape rows")):
     """A shape plus its rows, stored bottom-up, None on inner cells; nothing
-    about it is checked.  `Tableau(*filling)` checks one."""
+    about it is checked.  `Tableau(*filling)` checks one.
 
-    shape: Shape
-    rows: tuple[tuple[int | None, ...], ...]
+    shape: Shape; rows: tuple[tuple[int | None, ...], ...]."""
+
+    __slots__ = ()
 
 
 class Tableau(_Checked, Filling):

@@ -205,6 +205,17 @@ def test_cold_start_loads_no_pool_and_no_json():
     assert report["parallel out"] == report["serial out"]
 
 
+def test_cold_start_loads_no_typing():
+    # Without site (-S) nothing has loaded typing before tabinv's import.
+    code = (
+        f"import sys; sys.path.insert(0, {str(Path(tabinv.__file__).resolve().parent.parent)!r}); "
+        "import tabinv, tabinv.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'typing'))"
+    )
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert ast.literal_eval(done.stdout) == []
+
+
 def test_bad_shape_is_a_user_error(capsys):
     assert main(["enumerate", "--shape", "2,3"]) == 1
     assert "error:" in capsys.readouterr().err

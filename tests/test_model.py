@@ -2,6 +2,7 @@
 of the value types."""
 
 import pickle
+import sys
 from copy import copy as shallow_copy, deepcopy
 
 import pytest
@@ -10,16 +11,24 @@ from hypothesis import strategies as st
 
 from reference_syt import corner_cells, remove_cell, tableau_from_rows
 from tabinv import (
+    BlockPartition,
+    BridgeReport,
     DistributionPolynomial,
+    EquidistributionReport,
+    Filling,
+    InversionPathSet,
     LatticePath,
     Shape,
     ShapeError,
     Tableau,
     TableauError,
+    bridge_check,
     cinv_statistic,
     conjugate,
+    equidistribution_report,
     format_shape,
     forward_blocks,
+    inversion_path_set,
     make_tableau,
     map_trace,
     parse_shape,
@@ -32,6 +41,8 @@ from tabinv import (
     tableau_to_text,
     validate_filling,
 )
+from tabinv.enumeration import ClassReport
+from tabinv.inversion import MapStage, _Cascade
 
 
 class TestShape:
@@ -259,35 +270,69 @@ def test_every_tableau_is_standard(filling):
 
 
 def test_value_types_keep_their_contract(monkeypatch):
-    """A Shape, Tableau, LatticePath, BlockPartition, MapStage or
-    DistributionPolynomial is a tuple of its fields that prints as its class
-    with named fields, hashes as the plain tuple, checks its input however
-    it is built, and pickles and copies back to its own class with its
-    fields alone."""
+    """Every value type is a tuple of its fields that prints as its class
+    with named fields and hashes as the plain tuple (when its fields hash);
+    Shape, Tableau and DistributionPolynomial check their input however
+    they are built; every one pickles back to its own class, and a Tableau
+    pickles and copies with its fields alone."""
     t = tableau_from_rows([[1, 2], [3, 4]])
     u = tableau_from_rows([[1, 3, 4], [2, 5]])
     values = [
         Shape((3, 2), (1,)),
         t,
         tableau_from_rows([[2], [1, 3]], inner=(1,)),
+        Filling(Shape((2, 1)), ((1, 3), (2,))),
         LatticePath((1, 1), "SW"),
         forward_blocks(u, 5),
         map_trace(t, True)[0],
         DistributionPolynomial((1, 0, 2)),
+        equidistribution_report(Shape((2, 2), (1,))).classes[0],
+        bridge_check((2, 1, 3)),
     ]
-    assert list(map(repr, values)) == [
+    unhashable = [
+        inversion_path_set(tableau_from_rows([[1, 3], [2]])),
+        equidistribution_report(Shape((2, 1))),
+    ]
+    poly = "DistributionPolynomial(coefficients=(0, 1, 1))"
+    assert list(map(repr, values + unhashable)) == [
         "Shape(outer=(3, 2), inner=(1,))",
         "Tableau(shape=Shape(outer=(2, 2), inner=()), rows=((1, 2), (3, 4)))",
         "Tableau(shape=Shape(outer=(2, 2), inner=(1,)), rows=((None, 2), (1, 3)))",
+        "Filling(shape=Shape(outer=(2, 1), inner=()), rows=((1, 3), (2,)))",
         "LatticePath(start=(1, 1), steps='SW')",
         "BlockPartition(k=5, anchor_side='above', blocks=(((1, 1),), ((2, 1), (1, 2), (1, 3))))",
         "MapStage(k=4, path=LatticePath(start=(1, 1), steps='WS'), blocks=(((1, 1),), ((1, 2), (2, 1))), "
         "result=Filling(shape=Shape(outer=(2, 2), inner=()), rows=((1, 3), (2, 4))))",
         "DistributionPolynomial(coefficients=(1, 0, 2))",
+        f"ClassReport(stat_a='inv', stat_b='maj', pinned_cell=(2, 2), poly_a={poly}, poly_b={poly})",
+        "BridgeReport(perm=(2, 1, 3), tableau_route=(2, 1, 3), direct_route=(2, 1, 3), foata_route=(2, 1, 3))",
+        "InversionPathSet(paths={(1, 2): LatticePath(start=(1, 0), steps='W'), "
+        "(2, 1): LatticePath(start=(0, 1), steps='S')}, exempt=(1, 1), pairs={((2, 1), (1, 1))})",
+        "EquidistributionReport(shape=Shape(outer=(2, 1), inner=()), classes=["
+        f"ClassReport(stat_a='inv', stat_b='maj', pinned_cell=None, poly_a={poly}, poly_b={poly}), "
+        f"ClassReport(stat_a='cinv', stat_b='comaj', pinned_cell=None, poly_a={poly}, poly_b={poly})])",
     ]
+    fields = {
+        Shape: ("outer", "inner"),
+        Filling: ("shape", "rows"),
+        Tableau: ("shape", "rows"),
+        LatticePath: ("start", "steps"),
+        BlockPartition: ("k", "anchor_side", "blocks"),
+        MapStage: ("k", "path", "blocks", "result"),
+        InversionPathSet: ("paths", "exempt", "pairs"),
+        _Cascade: ("paths", "start", "grid"),
+        DistributionPolynomial: ("coefficients",),
+        ClassReport: ("stat_a", "stat_b", "pinned_cell", "poly_a", "poly_b"),
+        EquidistributionReport: ("shape", "classes"),
+        BridgeReport: ("perm", "tableau_route", "direct_route", "foata_route"),
+    }
+    for cls, names in fields.items():
+        assert cls._fields == names, cls
     for value in values:
         copy = type(value)(*value)
         assert copy == value and hash(copy) == hash(value) == hash(tuple(value))
+    # map --format json prints a stage's path as this dict.
+    assert LatticePath((1, 1), "SW")._asdict() == {"start": (1, 1), "steps": "SW"}
 
     bad = [
         (lambda: Shape((2, 3)), ShapeError, "outer parts not weakly decreasing: (2, 3)"),
@@ -309,9 +354,9 @@ def test_value_types_keep_their_contract(monkeypatch):
                 setattr(value, name, ())
 
     # A --par worker receives its Shape by pickle.
-    for value in (Shape((3, 2), (1,)), t):
+    for value in values + unhashable:
         back = pickle.loads(pickle.dumps(value))
-        assert type(back) is type(value) and repr(back) == repr(value)
+        assert type(back) is type(value) and back == value and repr(back) == repr(value)
 
     # The forward-cascade records stay behind: pickle and copy carry the fields alone.
     psi(t), cinv_statistic(t)
@@ -328,3 +373,25 @@ def test_value_types_keep_their_contract(monkeypatch):
     # Loading a pickle builds through the constructor, so it checks too.
     back = pickle.loads(pickle.dumps(t))
     assert seen[-1] is back
+
+
+@pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in Python 3.13")
+@pytest.mark.parametrize(
+    "value, changes, error",
+    [
+        (Shape((3, 2)), {"inner": (3, 3)}, ShapeError),
+        (tableau_from_rows([[1, 2], [3, 4]]), {"rows": ((1, 2), (4, 3))}, TableauError),
+        (DistributionPolynomial((1,)), {"coefficients": (1, 0)}, ValueError),
+    ],
+    ids=["Shape", "Tableau", "DistributionPolynomial"],
+)
+def test_copy_replace_checks_like_replace(value, changes, error):
+    import copy
+
+    with pytest.raises(error) as by_replace:
+        value._replace(**changes)
+    with pytest.raises(error) as by_copy:
+        copy.replace(value, **changes)
+    assert type(by_copy.value) is type(by_replace.value) is error
+    assert str(by_copy.value) == str(by_replace.value)
+    assert type(copy.replace(value)) is type(value) and copy.replace(value) == value
