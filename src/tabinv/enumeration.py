@@ -235,12 +235,16 @@ def skew_catalog(max_cells: int = 8, max_rows: int = 4, max_width: int = 4) -> l
 class DistributionPolynomial(_Checked, namedtuple("DistributionPolynomial", "coefficients")):
     """Nonnegative integer coefficients; index is the exponent of q.
 
-    coefficients: tuple[int, ...]."""
+    coefficients: tuple[int, ...], each an int (not a bool) and none
+    negative, the last not 0; ValueError otherwise."""
 
     __slots__ = ()
 
     def __post_init__(self):
-        if self.coefficients and self.coefficients[-1] == 0:
+        c = self.coefficients
+        if not {*map(type, c)} <= {int} or c and min(c) < 0:
+            raise ValueError(f"coefficients must be nonnegative integers, got {c!r}")
+        if c and c[-1] == 0:
             raise ValueError("coefficients not in canonical form (trailing zero)")
 
     @property
@@ -249,9 +253,11 @@ class DistributionPolynomial(_Checked, namedtuple("DistributionPolynomial", "coe
 
     @staticmethod
     def from_values(values: list[int]) -> "DistributionPolynomial":
-        if not values:
-            return DistributionPolynomial(())
-        coeffs = [0] * (max(values) + 1)
+        """The polynomial whose coefficient of q^v counts v among values;
+        ValueError on a negative value."""
+        if values and min(values) < 0:
+            raise ValueError(f"values must be nonnegative, got {min(values)}")
+        coeffs = [0] * (max(values, default=-1) + 1)
         for v in values:
             coeffs[v] += 1
         return DistributionPolynomial(tuple(coeffs))

@@ -173,10 +173,10 @@ class Tableau(_Checked, Filling):
     """A standard Young tableau: a Filling whose construction proved it
     standard.
 
-    Construction first checks that the rows fit the shape, raising
-    TableauError with the first fault, and then that the filling is
-    standard, raising TableauError with every violation `validate_filling`
-    finds; so every Tableau is an SYT.
+    Construction is the one check `validate_filling`: it raises
+    TableauError with the violations that check returns, the first
+    structural fault alone or else every standardness violation, so every
+    Tableau is an SYT.
 
     Like every value type of tabinv, a Tableau is a tuple of its fields,
     (shape, rows), and nothing can be assigned to it.
@@ -189,18 +189,7 @@ class Tableau(_Checked, Filling):
         raise AttributeError(f"cannot assign to {name!r}: a Tableau is immutable")
 
     def __post_init__(self):
-        shape, rows = self
-        outer = shape.outer
-        if len(rows) != len(outer):
-            raise TableauError([f"expected {len(outer)} rows, got {len(rows)}"])
-        for i, row in enumerate(rows, start=1):
-            if len(row) != outer[i - 1]:
-                raise TableauError([f"row {i} has {len(row)} entries, expected {outer[i - 1]}"])
-            inner = shape.inner_at(i)
-            for j, v in enumerate(row, start=1):
-                if (v is None) != (j <= inner):
-                    raise TableauError([f"placeholder/shape mismatch at cell ({i},{j})"])
-        violations = validate_filling(shape, rows)
+        violations = validate_filling(*self)
         if violations:
             raise TableauError(violations)
 
@@ -235,7 +224,25 @@ class Tableau(_Checked, Filling):
 
 
 def validate_filling(shape: Shape, rows: list[list[int | None]]) -> list[str]:
-    """All standardness violations of a raw filling; empty list means valid."""
+    """The reasons why rows, bottom row first, are not an SYT of shape;
+    [] exactly when they are one, that is when `Tableau(shape, rows)`
+    constructs, whose TableauError carries this same list otherwise.
+
+    Rows that do not fit the shape (a row too many or too few, a row of the
+    wrong length, or a cell whose None-ness disagrees with its being inner)
+    give the first such fault alone, in row order.  Rows that fit give
+    every standardness violation: a content that is not an int in 1..n,
+    a duplicate, and a row or column that does not increase."""
+    outer = shape.outer
+    if len(rows) != len(outer):
+        return [f"expected {len(outer)} rows, got {len(rows)}"]
+    for i, row in enumerate(rows, start=1):
+        if len(row) != outer[i - 1]:
+            return [f"row {i} has {len(row)} entries, expected {outer[i - 1]}"]
+        inner = shape.inner_at(i)
+        for j, v in enumerate(row, start=1):
+            if (v is None) != (j <= inner):
+                return [f"placeholder/shape mismatch at cell ({i},{j})"]
     violations: list[str] = []
     n = shape.size
     cells = shape.cells()
@@ -243,14 +250,11 @@ def validate_filling(shape: Shape, rows: list[list[int | None]]) -> list[str]:
     # where there is no entry, so right and upper neighbours read by index.
     g: list[list[int | None]] = [[None] * (shape.width + 2) for _ in range(shape.n_rows + 2)]
     for (i, j) in cells:
-        if i <= len(rows) and j <= len(rows[i - 1]):
-            g[i][j] = rows[i - 1][j - 1]
+        g[i][j] = rows[i - 1][j - 1]
     pos: list[Cell | None] = [(0, 0)] + [None] * n
     for (i, j) in cells:
         v = g[i][j]
-        if v is None:
-            violations.append(f"missing entry at cell ({i},{j})")
-        elif not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= n:
+        if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= n:
             violations.append(f"content {v!r} at cell ({i},{j}) outside 1..{n}")
             # Dropped, so the order checks compare only contents that
             # passed this one; a non-integer may not compare at all.
@@ -271,9 +275,10 @@ def validate_filling(shape: Shape, rows: list[list[int | None]]) -> list[str]:
 
 
 def make_tableau(shape: Shape, rows: list[list[int | None]]) -> Tableau:
-    """The Tableau of a raw filling given as lists; its construction raises
-    TableauError with the first structural fault, or else with every
-    standardness violation."""
+    """The Tableau of a raw filling given as lists; its construction is the
+    one check `validate_filling`, and raises TableauError with its
+    violations: the first structural fault, or else every standardness
+    violation."""
     return Tableau(shape, tuple(tuple(r) for r in rows))
 
 

@@ -4,8 +4,10 @@
 `enumeration.enumerate_syt` replaced, kept as the reference for its order:
 the largest content goes into each removable corner in descending row
 order, the rest of the shape is filled recursively, and every filling is
-validated in full.  `brute_force_count` is a counting oracle independent of
-the enumerator: it validates all n! placements.  `reference_path` walks the
+validated in full.  `is_syt` decides from the definition alone, with no
+check of tabinv, whether rows are an SYT of a shape.  `brute_force_count` is
+a counting oracle independent of the enumerator and of tabinv's checks: it
+filters all n! placements through `is_syt`.  `reference_path` walks the
 inversion path's corner rule and stop rule on `Tableau.content`, without
 the kernel's grid.
 `tableau_from_rows` is the tests' shorthand for a tableau, and
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from tabinv import LatticePath, Shape, ShapeError, Tableau, make_tableau, validate_filling
+from tabinv import LatticePath, Shape, ShapeError, Tableau, make_tableau
 from tabinv.model import Cell
 
 
@@ -42,8 +44,38 @@ def remove_cell(s: Shape, cell: Cell) -> Shape:
     return Shape(tuple(outer), s.inner)
 
 
+def is_syt(shape: Shape, rows) -> bool:
+    """Whether rows, bottom row first, are a standard Young tableau of shape,
+    from the definition: the rows fit the shape exactly, with None on the
+    inner cells and nowhere else; the other entries are the ints 1..n (not
+    bools), each once; and entries increase along each row and up each
+    column."""
+    inner = shape.inner + (0,) * (len(shape.outer) - len(shape.inner))
+    if len(rows) != len(shape.outer):
+        return False
+    entries: list = []
+    for row, p, q in zip(rows, shape.outer, inner):
+        if len(row) != p or any(v is not None for v in row[:q]) or any(type(v) is not int for v in row[q:]):
+            return False
+        entries += row[q:]
+    if sorted(entries) != list(range(1, len(entries) + 1)):
+        return False
+
+    def entry(i: int, j: int):
+        """The entry of row i, column j (0-based); None off the rows."""
+        return rows[i][j] if i < len(rows) and j < len(rows[i]) else None
+
+    return all(
+        neighbour is None or v < neighbour
+        for i, row in enumerate(rows)
+        for j, v in enumerate(row)
+        if v is not None
+        for neighbour in (entry(i, j + 1), entry(i + 1, j))
+    )
+
+
 def brute_force_count(s: Shape) -> int:
-    """The number of SYT of s: all n! placements filtered through validation.
+    """The number of SYT of s: all n! placements filtered through `is_syt`.
 
     Only sensible for small n; used to certify the fast enumerator.
     """
@@ -56,7 +88,7 @@ def brute_force_count(s: Shape) -> int:
         ]
         for (i, j), v in zip(cells, perm):
             rows[i - 1][j - 1] = v
-        if not validate_filling(s, rows):
+        if is_syt(s, rows):
             count += 1
     return count
 

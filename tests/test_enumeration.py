@@ -219,6 +219,10 @@ class TestDistribution:
         p = DistributionPolynomial.from_values([0, 1, 1, 3])
         assert p.coefficients == (1, 2, 0, 1)
         assert p.total == 4
+        # A negative value is an error, not a count at the top exponent,
+        # where indexing by -1 would put it.
+        with pytest.raises(ValueError, match=r"^values must be nonnegative, got -1$"):
+            DistributionPolynomial.from_values([2, -1])
 
     def test_polynomial_of_no_values_has_no_coefficient(self):
         p = DistributionPolynomial.from_values([])
@@ -228,6 +232,11 @@ class TestDistribution:
     def test_polynomial_rejects_trailing_zero(self):
         with pytest.raises(ValueError):
             DistributionPolynomial((1, 0))
+
+    @pytest.mark.parametrize("coefficients", [(1, -1), (-1,), (1, 2.0), (True,), (0, False, 1), ("1",)])
+    def test_polynomial_rejects_a_coefficient_that_is_not_a_nonnegative_int(self, coefficients):
+        with pytest.raises(ValueError, match=r"^coefficients must be nonnegative integers, got "):
+            DistributionPolynomial(coefficients)
 
     def test_known_distribution(self):
         # SYT of (2,2): maj values 2 and 4

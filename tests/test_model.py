@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference_syt import corner_cells, remove_cell, tableau_from_rows
+from reference_syt import corner_cells, is_syt, remove_cell, tableau_from_rows
 from tabinv import (
     BlockPartition,
     BridgeReport,
@@ -124,7 +124,13 @@ class TestTableau:
         s = parse_shape("2,2")
         assert validate_filling(s, [[1, 2], [3, 4]]) == []
         assert validate_filling(s, [[1, 2], [4, 3]]) != []
-        assert validate_filling(s, [[1, 2], [3, None]]) != []
+        # Rows that do not fit the shape give Tableau's message for the
+        # first fault alone, and no standardness pass runs on them.
+        assert validate_filling(s, [[1, 2], [3, None]]) == ["placeholder/shape mismatch at cell (2,2)"]
+        assert validate_filling(s, [[2, 1], [3]]) == ["row 2 has 1 entries, expected 2"]
+        assert validate_filling(Shape((2,)), [[1, 2, 3]]) == ["row 1 has 3 entries, expected 2"]
+        assert validate_filling(Shape((2,)), [[1, 2], [3]]) == ["expected 1 rows, got 2"]
+        assert validate_filling(parse_shape("2,1/1"), ((9, 1), (2,))) == ["placeholder/shape mismatch at cell (1,1)"]
 
     def test_duplicate_content_names_both_cells_as_i_j(self):
         assert validate_filling(parse_shape("2,2"), [[1, 2], [3, 3]]) == [
@@ -241,32 +247,55 @@ _SMALL_SHAPES = [parse_shape(text) for text in ("1", "3", "2,1", "2,2", "3,1,1",
 
 @st.composite
 def _small_fillings(draw):
-    """A shape and rows that fit it, placeholders on its inner cells and a
-    permutation of 1..n on the others, with at most two entries then
-    overwritten by None, a bool or an integer from 0 to n+1."""
+    """A shape and rows: a permutation of 1..n on its cells and None on its
+    inner cells; then at most two cells, inner or not, overwritten by None,
+    a bool, "x", 2.0 or an integer from 0 to n+1; then at most two
+    structural faults, an entry or a row added or dropped."""
     shape = draw(st.sampled_from(_SMALL_SHAPES))
-    contents = iter(draw(st.permutations(range(1, shape.size + 1))))
+    n = shape.size
+    contents = iter(draw(st.permutations(range(1, n + 1))))
     rows = [
         [None if j <= shape.inner_at(i) else next(contents) for j in range(1, shape.outer[i - 1] + 1)]
         for i in range(1, shape.n_rows + 1)
     ]
-    entry = st.one_of(st.none(), st.booleans(), st.integers(0, shape.size + 1))
-    for cell in draw(st.lists(st.sampled_from(shape.cells()), max_size=2)):
-        rows[cell[0] - 1][cell[1] - 1] = draw(entry)
+    entry = st.one_of(st.none(), st.booleans(), st.sampled_from(["x", 2.0]), st.integers(0, n + 1))
+    boxed = [(i, j) for i in range(1, shape.n_rows + 1) for j in range(1, shape.outer[i - 1] + 1)]
+    for i, j in draw(st.lists(st.sampled_from(boxed), max_size=2)):
+        rows[i - 1][j - 1] = draw(entry)
+    for fault in draw(st.lists(st.sampled_from(["add entry", "drop entry", "add row", "drop row"]), max_size=2)):
+        i = draw(st.integers(0, len(rows)))
+        if fault == "add row":
+            rows.insert(i, draw(st.lists(entry, max_size=3)))
+        elif i < len(rows) and fault == "drop row":
+            del rows[i]
+        elif i < len(rows):
+            k = draw(st.integers(0, len(rows[i])))
+            if fault == "add entry":
+                rows[i].insert(k, draw(entry))
+            elif k < len(rows[i]):
+                del rows[i][k]
     return shape, tuple(map(tuple, rows))
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=500, derandomize=True, deadline=None)
 @given(filling=_small_fillings())
 @example(filling=(Shape((2, 2), (1,)), ((None, 1), (2, 3))))
-def test_every_tableau_is_standard(filling):
-    """A filling becomes a Tableau only if it is an SYT of its shape."""
+@example(filling=(Shape((2,)), ((1, 2, 3),)))  # a row too long
+@example(filling=(Shape((2,)), ((1, 2), (3,))))  # a row too many
+@example(filling=(Shape((2, 1), (1,)), ((9, 1), (2,))))  # a number on an inner cell
+def test_a_filling_is_a_tableau_exactly_when_it_is_an_syt(filling):
+    """validate_filling returns [] exactly when the rows are an SYT by the
+    definition (`is_syt`), and Tableau constructs exactly then; otherwise
+    its TableauError carries the same violations."""
     shape, rows = filling
+    violations = validate_filling(shape, rows)
+    assert (violations == []) == is_syt(shape, rows)
     try:
         t = Tableau(shape, rows)
-    except TableauError:
-        return
-    assert validate_filling(shape, rows) == [] and t.rows == rows
+    except TableauError as e:
+        assert e.violations == violations != []
+    else:
+        assert violations == [] and t.rows == rows
 
 
 def test_value_types_keep_their_contract(monkeypatch):
