@@ -180,7 +180,7 @@ def enumerate_syt(s: Shape) -> Iterator[Tableau]:
     placing n, n-1, ..., 1 each in a removable corner of the cells still
     free, corners in descending row order."""
     for rows, *_ in _fillings(s):
-        yield Tableau(s, tuple(map(tuple, rows)))
+        yield Tableau(s, rows)
 
 
 def count_syt(s: Shape) -> int:

@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .inversion import phi
-from .model import Shape, Tableau, _decimal, make_tableau
+from .model import Shape, Tableau, _decimal
 
 Permutation = tuple[int, ...]
 
@@ -146,7 +146,7 @@ def staircase_tableau(p: Permutation) -> Tableau:
     rows: list[list[int | None]] = []
     for i in range(1, n + 1):
         rows.append([None] * shape.inner_at(i) + [p[i - 1]])
-    return make_tableau(shape, rows)
+    return Tableau(shape, rows)
 
 
 def read_staircase(t: Tableau) -> Permutation:

@@ -33,9 +33,11 @@ exempt cell.  Each path counts the cells below it (`_below`), with
 no pair built; only the callers that return the pairs build them
 (`_pairs`), from the same paths and the same rule.  A Tableau runs each
 forward cascade, SW and NE, at most once: its record (`_forward`) stays on
-the Tableau, and psi, the statistic, its pairs, paths and code (and their
-NE mirrors) all read it; psi's image is built from the grid the cascade
-ran on.  phi always runs its own reverse cascade.
+the Tableau, and psi, the statistic, its pairs, paths and code (and
+comaj_map and cinv_statistic, the NE mirrors of psi and the statistic)
+all read it; psi's image is built from the grid the cascade ran on.  phi
+always runs its own reverse cascade.  The NE pairs and paths are those
+of `model.rotate_complement(t)`, turned back.
 
 A grid is filled from the cell of each content of a standard filling:
 a Tableau's, which its construction proved standard, or one the
@@ -617,16 +619,6 @@ def comaj_map(t: Tableau) -> Tableau:
 
     psi run on the turned grid, whose cells turn back into t's own shape."""
     return _Grid(t.shape, _turned(t.shape, _forward(t, turned=True).grid.pos)).tableau()
-
-
-def ne_inversion_path_set(t: Tableau) -> InversionPathSet:
-    paths, start, _ = _forward(t, turned=True)
-    back = _turned_back(t.shape, start[1])
-    return InversionPathSet(
-        {back[cell]: _rotate_path(t.shape, _lattice_path(cell, h)) for cell, h in paths[:-1]},
-        back[paths[-1][0]] if paths else None,
-        {(back[a], back[b]) for a, b in _pairs(paths, start)},
-    )
 
 
 def cinv_statistic(t: Tableau) -> int:

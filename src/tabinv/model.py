@@ -169,10 +169,16 @@ class Filling(namedtuple("Filling", "shape rows")):
     __slots__ = ()
 
 
+_ROWS = (list, tuple)  # the types that rows, and each row, may have
+
+
 class Tableau(_Checked, Filling):
     """A standard Young tableau: a Filling whose construction proved it
     standard.
 
+    `Tableau(shape, rows)` is the one way to build one.  rows, bottom row
+    first, is a list or a tuple of list-or-tuple rows, kept as a tuple of
+    tuples, so equal tableaux hash equal however their rows were given.
     Construction is the one check `validate_filling`: it raises
     TableauError with the violations that check returns, the first
     structural fault alone or else every standardness violation, so every
@@ -184,6 +190,14 @@ class Tableau(_Checked, Filling):
     `inversion._forward` may keep the record of a forward cascade on an
     instance.  It is not a field, so equality, hashing and repr ignore it.
     """
+
+    def __new__(cls, shape, rows):
+        # Rows of any other type stay as given, for validate_filling to name.
+        # A list first: tuple() of an iterator over-allocates and then
+        # shrinks, which fragments the heap and raises the peak RSS.
+        if isinstance(rows, _ROWS):
+            rows = tuple([tuple(row) if isinstance(row, _ROWS) else row for row in rows])
+        return super().__new__(cls, shape, rows)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: a Tableau is immutable")
@@ -220,7 +234,7 @@ class Tableau(_Checked, Filling):
         rows = [list(r) for r in self.rows]
         for (i, j), v in updates.items():
             rows[i - 1][j - 1] = v
-        return Tableau(self.shape, tuple(tuple(r) for r in rows))
+        return Tableau(self.shape, rows)
 
 
 def validate_filling(shape: Shape, rows: list[list[int | None]]) -> list[str]:
@@ -228,11 +242,17 @@ def validate_filling(shape: Shape, rows: list[list[int | None]]) -> list[str]:
     [] exactly when they are one, that is when `Tableau(shape, rows)`
     constructs, whose TableauError carries this same list otherwise.
 
-    Rows that do not fit the shape (a row too many or too few, a row of the
-    wrong length, or a cell whose None-ness disagrees with its being inner)
-    give the first such fault alone, in row order.  Rows that fit give
-    every standardness violation: a content that is not an int in 1..n,
-    a duplicate, and a row or column that does not increase."""
+    Rows that do not fit the shape (rows, or a row, that is not a list or
+    a tuple, then a row too many or too few, a row of the wrong length, or
+    a cell whose None-ness disagrees with its being inner) give the first
+    such fault alone, in that order and then in row order.  Rows that fit
+    give every standardness violation: a content that is not an int in
+    1..n, a duplicate, and a row or column that does not increase."""
+    if not isinstance(rows, _ROWS):
+        return [f"rows are of type {type(rows).__name__}, not a list or a tuple"]
+    for i, row in enumerate(rows, start=1):
+        if not isinstance(row, _ROWS):
+            return [f"row {i} is of type {type(row).__name__}, not a list or a tuple"]
     outer = shape.outer
     if len(rows) != len(outer):
         return [f"expected {len(outer)} rows, got {len(rows)}"]
@@ -275,11 +295,10 @@ def validate_filling(shape: Shape, rows: list[list[int | None]]) -> list[str]:
 
 
 def make_tableau(shape: Shape, rows: list[list[int | None]]) -> Tableau:
-    """The Tableau of a raw filling given as lists; its construction is the
-    one check `validate_filling`, and raises TableauError with its
-    violations: the first structural fault, or else every standardness
-    violation."""
-    return Tableau(shape, tuple(tuple(r) for r in rows))
+    """`Tableau(shape, rows)`, nothing more.  No module of tabinv calls it;
+    it stays exported only because the benchmark's workloads and its
+    per-layer trace name it."""
+    return Tableau(shape, rows)
 
 
 def conjugate(t: Tableau) -> Tableau:
@@ -287,7 +306,7 @@ def conjugate(t: Tableau) -> Tableau:
     Column j of the rows, inner placeholders included, is row j of the
     transpose."""
     rows = [[row[j] for row in t.rows if j < len(row)] for j in range(t.shape.width)]
-    return make_tableau(t.shape.conjugate(), rows)
+    return Tableau(t.shape.conjugate(), rows)
 
 
 def rotate_complement(t: Tableau) -> Tableau:
@@ -302,7 +321,7 @@ def rotate_complement(t: Tableau) -> Tableau:
     rows: list[list[int | None]] = [[None] * p for p in shape.outer]
     for c, (i, j) in enumerate(_turned(t.shape, t.positions())[1:], start=1):
         rows[i - 1][j - 1] = c
-    return make_tableau(shape, rows)
+    return Tableau(shape, rows)
 
 
 def _turned(shape: Shape, pos: list[Cell]) -> list[Cell]:
@@ -380,7 +399,7 @@ def parse_tableau_text(text: str) -> Tableau:
             raise TableauError([str(e)]) from None
     if declared.size == 0:
         raise TableauError(["tableau has no cells"])
-    return make_tableau(declared, raw)
+    return Tableau(declared, raw)
 
 
 def tableau_to_json_dict(t: Filling) -> dict:
@@ -391,21 +410,6 @@ def tableau_to_json_dict(t: Filling) -> dict:
         "inner": list(t.shape.inner),
         "rows": [list(row) for row in t.rows],
     }
-
-
-def tableau_from_json_dict(d: dict) -> Tableau:
-    """The inverse of `tableau_to_json_dict`; a malformed dict raises
-    ShapeError or TableauError."""
-    if not isinstance(d, dict) or not {"shape", "rows"} <= d.keys():
-        raise TableauError([f"a tableau is a dict with 'shape' and 'rows', got {d!r}"])
-    try:
-        shape = Shape(tuple(d["shape"]), tuple(d.get("inner", ())))
-    except TypeError:
-        raise ShapeError(f"shape and inner must be lists of parts, got {d!r}") from None
-    rows = d["rows"]
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise TableauError([f"rows must be a list of lists, got {rows!r}"])
-    return make_tableau(shape, rows)
 
 
 def render(t: Tableau) -> str:

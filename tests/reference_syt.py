@@ -46,10 +46,13 @@ def remove_cell(s: Shape, cell: Cell) -> Shape:
 
 def is_syt(shape: Shape, rows) -> bool:
     """Whether rows, bottom row first, are a standard Young tableau of shape,
-    from the definition: the rows fit the shape exactly, with None on the
-    inner cells and nowhere else; the other entries are the ints 1..n (not
-    bools), each once; and entries increase along each row and up each
-    column."""
+    from the definition: rows, and each row, is a list or a tuple; the rows
+    fit the shape exactly, with None on the inner cells and nowhere else;
+    the other entries are the ints 1..n (not bools), each once; and entries
+    increase along each row and up each column."""
+    sequences = (list, tuple)
+    if not isinstance(rows, sequences) or not all(isinstance(row, sequences) for row in rows):
+        return False
     inner = shape.inner + (0,) * (len(shape.outer) - len(shape.inner))
     if len(rows) != len(shape.outer):
         return False

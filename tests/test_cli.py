@@ -21,11 +21,11 @@ import tabinv.cli as cli
 from conftest import CLI_CASES, FIXTURES, GOLDEN, run_cli_case
 from tabinv.cli import main
 from tabinv.model import (
+    Shape,
     Tableau,
     TableauError,
     parse_shape,
     parse_tableau_text,
-    tableau_from_json_dict,
     tableau_to_json_dict,
     tableau_to_text,
 )
@@ -316,11 +316,14 @@ def test_numbers_not_in_ascii_decimal_are_bad_input(argv, stdin, capsys, monkeyp
     ],
 )
 def test_malformed_tableau_names_its_first_structural_fault(tableau, message, capsys, monkeypatch):
-    """Text and JSON rows that do not fit their shape raise the message of
-    `Tableau`'s own check, and as text input `stats` prints it on one line."""
-    read = parse_tableau_text if isinstance(tableau, str) else tableau_from_json_dict
+    """Text rows, and the rows of a JSON dict given to `Tableau`, that do
+    not fit their shape raise the message of `Tableau`'s own check, and as
+    text input `stats` prints it on one line."""
     with pytest.raises(TableauError) as caught:
-        read(tableau)
+        if isinstance(tableau, str):
+            parse_tableau_text(tableau)
+        else:
+            Tableau(Shape(tuple(tableau["shape"]), tuple(tableau.get("inner", ()))), tableau["rows"])
     assert caught.value.violations == [message]
     if isinstance(tableau, str):
         monkeypatch.setattr("sys.stdin", io.StringIO(tableau))

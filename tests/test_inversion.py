@@ -34,7 +34,6 @@ from tabinv import (
     map_trace,
     ne_blocks,
     ne_inversion_path,
-    ne_inversion_path_set,
     parse_shape,
     phi,
     phi_k,
@@ -287,7 +286,7 @@ class TestInvStatistic:
         assert set(ips.paths) == {(1, 2), (2, 1), (2, 2)}
         assert ips.exempt == (1, 1)
         empty = Tableau(Shape(()), ())
-        assert inversion_path_set(empty) == ne_inversion_path_set(empty) == ({}, None, set())
+        assert inversion_path_set(empty) == inversion_path_set(rotate_complement(empty)) == ({}, None, set())
 
     def test_path_set_follows_the_cascade(self):
         # The path of pivot k is taken on the cascade's tableau just before
@@ -410,38 +409,52 @@ def _ne_tableaux(*catalog_bounds):
         yield from enumerate_syt(s)
 
 
+def _turned_back(t, cell):
+    """A cell of rotate_complement(t) as the cell of t's box it came from."""
+    return (t.shape.n_rows + 1 - cell[0], t.shape.width + 1 - cell[1])
+
+
+def _turned_path(t, path):
+    """An SW path of rotate_complement(t) as the NE path of t's box."""
+    x, y = path.start
+    return LatticePath((t.shape.width - x, t.shape.n_rows - y), path.steps.translate(str.maketrans("WSEN", "ENWS")))
+
+
 class TestNeFunctions:
-    """The NE functions against their SW counterparts on rotate_complement."""
+    """The NE functions against their SW counterparts on rotate_complement:
+    each NE reading is rc∘SW∘rc, with rc = rotate_complement."""
 
     def test_path_set_covers_all_but_one_cell_and_counts_cinv(self):
         for t in _ne_tableaux():
-            ips = ne_inversion_path_set(t)
+            r = rotate_complement(t)
+            ips = inversion_path_set(r)
             assert len(ips.paths) == t.n - 1 and ips.exempt not in ips.paths
-            assert len(ips.pairs) == cinv_statistic(t)
+            assert cinv_statistic(t) == len(inversion_pairs(r))
 
     def test_path_set_follows_the_cascade(self):
-        # The path of pivot k is taken on the NE cascade's tableau just
-        # before its step k, here rebuilt from psi_k on rotate_complement.
+        # The path set of rotate_complement(t), turned back, holds the NE
+        # path of pivot k taken on the NE cascade's tableau just before its
+        # step k, here rebuilt from psi_k on rotate_complement.
         for t in _ne_tableaux(5):
-            ips = ne_inversion_path_set(t)
+            ips = inversion_path_set(rotate_complement(t))
             u = t
             for k in range(1, t.n):
-                assert ips.paths[u.positions()[k]] == ne_inversion_path(u, k)
+                turned = rotate_complement(u)
+                assert _turned_path(t, ips.paths[turned.positions()[t.n + 1 - k]]) == ne_inversion_path(u, k)
                 if k <= t.n - 2:
-                    u = rotate_complement_into(psi_k(rotate_complement(u), t.n + 1 - k), t.shape)
+                    u = rotate_complement_into(psi_k(turned, t.n + 1 - k), t.shape)
             assert u == comaj_map(t)
-            assert ips.exempt == u.positions()[t.n]
+            assert _turned_back(t, ips.exempt) == u.positions()[t.n]
 
     def test_ne_blocks_match_rotate_complement_reference(self):
         for t in _ne_tableaux(5):
             r = rotate_complement(t)
-            rotate = lambda c: (t.shape.n_rows + 1 - c[0], t.shape.width + 1 - c[1])
             for k in range(1, t.n + 1):
                 ref = forward_blocks(r, t.n + 1 - k)
                 bp = ne_blocks(t, k)
                 assert bp.k == k
                 assert bp.anchor_side == (ABOVE if ref.anchor_side == BELOW else BELOW)
-                assert bp.blocks == tuple(tuple(map(rotate, block)) for block in ref.blocks)
+                assert bp.blocks == tuple(tuple(_turned_back(t, cell) for cell in block) for block in ref.blocks)
 
     def test_turned_grid_is_rotate_complement(self):
         for text in UNNORMALIZED + ("3,2", "4,3,1/2", "3,2/3"):
@@ -453,9 +466,7 @@ class TestNeFunctions:
                 assert back == t.positions()
                 assert _Grid(t.shape, back).tableau() == t
 
-    @pytest.mark.parametrize(
-        "fn", [cinv_statistic, comaj_map, ne_inversion_path_set, lambda t: ne_inversion_path(t, 2)]
-    )
+    @pytest.mark.parametrize("fn", [cinv_statistic, comaj_map, lambda t: ne_inversion_path(t, 2)])
     def test_input_is_validated_once(self, fn, monkeypatch):
         # Every validation runs through `validate_filling`, so counting it
         # counts them all; only a Tableau that the call returns is checked.
@@ -475,7 +486,7 @@ class TestNeFunctions:
 
 
 SW_READERS = (psi, inv_statistic, inversion_pairs, inversion_path_set, inv_code)
-NE_READERS = (comaj_map, cinv_statistic, ne_inversion_path_set)
+NE_READERS = (comaj_map, cinv_statistic)
 
 
 class TestCountingCascade:
@@ -564,14 +575,14 @@ class TestCountingCascade:
             assert len({t, fresh}) == 1
 
     def test_count_equals_the_number_of_pairs(self):
-        # TestNeFunctions compares cinv with the NE pairs on _ne_tableaux().
+        # TestNeFunctions does the same for cinv on _ne_tableaux().
         for t in _ne_tableaux():
             assert inv_statistic(t) == len(inversion_pairs(t))
         for t in itertools.chain(
             TestRandomLarge.tableaux(80, range(25, 81)), TestRandomLarge.tableaux(200, range(100, 201, 10))
         ):
             assert inv_statistic(t) == len(inversion_pairs(t))
-            assert cinv_statistic(t) == len(ne_inversion_path_set(t).pairs)
+            assert cinv_statistic(t) == len(inversion_pairs(rotate_complement(t)))
 
     def test_turned_fill_equals_turning_the_filled_grid(self):
         for t in _ne_tableaux(6):

@@ -25,6 +25,7 @@ from tabinv import (
     bridge_check,
     cinv_statistic,
     conjugate,
+    enumerate_syt,
     equidistribution_report,
     format_shape,
     forward_blocks,
@@ -36,7 +37,6 @@ from tabinv import (
     psi,
     render,
     rotate_complement,
-    tableau_from_json_dict,
     tableau_to_json_dict,
     tableau_to_text,
     validate_filling,
@@ -141,13 +141,13 @@ class TestTableau:
     def test_non_integer_content_is_a_violation(self):
         # A string next to an integer must not reach the order comparison.
         with pytest.raises(TableauError, match="content 'a' at cell \\(1,1\\) outside 1..2"):
-            tableau_from_json_dict({"shape": [2], "rows": [["a", 1]]})
+            Tableau(Shape((2,)), [["a", 1]])
         assert validate_filling(parse_shape("2,1"), [[1, "b"], [3]]) == ["content 'b' at cell (1,2) outside 1..3"]
 
     def test_bool_content_is_a_violation(self):
         assert validate_filling(parse_shape("2"), [[True, 2]]) == ["content True at cell (1,1) outside 1..2"]
         with pytest.raises(TableauError):
-            tableau_from_json_dict({"shape": [2], "rows": [[True, 2]]})
+            Tableau(Shape((2,)), [[True, 2]])
 
     def test_skew_tableau_construction(self):
         t = make_tableau(parse_shape("2,2/1"), [[None, 1], [2, 3]])
@@ -177,6 +177,22 @@ class TestTableau:
         r = rotate_complement(t)
         n = t.n
         assert descent_set(r) == {n - i for i in descent_set(t)}
+
+
+# A dict in the form `tableau_to_json_dict` writes, malformed, with the
+# error and message of Shape or Tableau.
+_MALFORMED_JSON = [
+    ({"shape": [2], "rows": None}, TableauError, "rows are of type NoneType, not a list or a tuple"),
+    ({"shape": [2], "rows": 5}, TableauError, "rows are of type int, not a list or a tuple"),
+    ({"shape": [2], "rows": {"1": [1, 2]}}, TableauError, "rows are of type dict, not a list or a tuple"),
+    ({"shape": [2], "rows": [5, 6]}, TableauError, "row 1 is of type int, not a list or a tuple"),
+    ({"shape": [2], "rows": ["1 2"]}, TableauError, "row 1 is of type str, not a list or a tuple"),
+    ({"shape": [2], "rows": [[1, 2], [3]]}, TableauError, "expected 1 rows, got 2"),
+    ({"shape": ["2"], "rows": [[1, 2]]}, ShapeError, "outer parts must be positive integers, got ('2',)"),
+    ({"shape": [True], "rows": [[1]]}, ShapeError, "outer parts must be positive integers, got (True,)"),
+    ({"shape": [1, 2], "rows": [[1], [2, 3]]}, ShapeError, "outer parts not weakly decreasing: (1, 2)"),
+    ({"shape": [2], "inner": [3], "rows": [[None, 1]]}, ShapeError, "inner (3,) not contained in outer (2,)"),
+]
 
 
 class TestSerialization:
@@ -212,27 +228,19 @@ class TestSerialization:
             parse_tableau_text("1 2 3\n4 5\n. 6\n")
 
     @pytest.mark.parametrize(
-        "d,error",
-        [
-            ({}, TableauError),
-            ([], TableauError),
-            ({"shape": [2]}, TableauError),
-            ({"shape": [2], "rows": 5}, TableauError),
-            ({"shape": [2], "rows": [5, 6]}, TableauError),
-            ({"shape": [2], "rows": [[1, 2], [3]]}, TableauError),
-            ({"shape": None, "rows": [[1, 2]]}, ShapeError),
-            ({"shape": [2], "inner": 1, "rows": [[1, 2]]}, ShapeError),
-            ({"shape": ["2"], "rows": [[1, 2]]}, ShapeError),
-            ({"shape": [True], "rows": [[1]]}, ShapeError),
-        ],
+        "d,error,message", _MALFORMED_JSON, ids=[f"d{i}-{case[1].__name__}" for i, case in enumerate(_MALFORMED_JSON)]
     )
-    def test_malformed_json_dict(self, d, error):
-        with pytest.raises(error):
-            tableau_from_json_dict(d)
+    def test_malformed_json_dict(self, d, error, message):
+        # JSON is output only; a dict in the shape `tableau_to_json_dict`
+        # writes, but malformed, is rejected by Shape or by Tableau.
+        with pytest.raises(error) as caught:
+            Tableau(Shape(tuple(d["shape"]), tuple(d.get("inner", ()))), d["rows"])
+        assert str(caught.value) == message
 
     def test_json_round_trip(self):
         t = make_tableau(parse_shape("3,3/1"), [[None, 1, 3], [2, 4, 5]])
-        assert tableau_from_json_dict(tableau_to_json_dict(t)) == t
+        d = tableau_to_json_dict(t)
+        assert Tableau(Shape(tuple(d["shape"]), tuple(d["inner"])), d["rows"]) == t
 
     def test_render_alignment(self):
         out = render(tableau_from_rows([[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]]))
@@ -283,6 +291,8 @@ def _small_fillings(draw):
 @example(filling=(Shape((2,)), ((1, 2, 3),)))  # a row too long
 @example(filling=(Shape((2,)), ((1, 2), (3,))))  # a row too many
 @example(filling=(Shape((2, 1), (1,)), ((9, 1), (2,))))  # a number on an inner cell
+@example(filling=(Shape((2,)), ({0: 1, 1: 2},)))  # a dict row, keyed by index
+@example(filling=(Shape((2,)), [{1, 2}]))  # a set row
 def test_a_filling_is_a_tableau_exactly_when_it_is_an_syt(filling):
     """validate_filling returns [] exactly when the rows are an SYT by the
     definition (`is_syt`), and Tableau constructs exactly then; otherwise
@@ -424,3 +434,54 @@ def test_copy_replace_checks_like_replace(value, changes, error):
     assert type(by_copy.value) is type(by_replace.value) is error
     assert str(by_copy.value) == str(by_replace.value)
     assert type(copy.replace(value)) is type(value) and copy.replace(value) == value
+
+
+_SMALL_SYT = [t for s in _SMALL_SHAPES for t in enumerate_syt(s)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(t=st.sampled_from(_SMALL_SYT), data=st.data())
+def test_list_and_tuple_rows_build_one_tableau(t, data):
+    """The rows of an SYT given as any mix of lists and tuples build, by
+    either constructor, a Tableau equal to the all-tuple one and hashing
+    equal to it."""
+    sequence = st.sampled_from([list, tuple])
+    rows = data.draw(sequence)(data.draw(sequence)(row) for row in t.rows)
+    for built in (Tableau(t.shape, rows), make_tableau(t.shape, rows)):
+        assert built == t and hash(built) == hash(t)
+        assert type(built.rows) is tuple and all(type(row) is tuple for row in built.rows)
+
+
+_NOT_A_ROW = {
+    "set": set,
+    "dict by index": lambda row: dict(enumerate(row)),
+    "dict by content": dict.fromkeys,
+    "generator": lambda row: (v for v in row),
+    "str": lambda row: " ".join(map(str, row)),
+    "int": len,
+}
+
+
+@pytest.mark.parametrize("kind", _NOT_A_ROW)
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(t=st.sampled_from(_SMALL_SYT), data=st.data())
+def test_rows_that_are_not_lists_or_tuples_are_rejected_alike(kind, t, data):
+    """The rows of an SYT, or one of its rows, made a set, a dict (keyed by
+    index or by content), a generator, a str or an int: both constructors
+    raise the same TableauError, which names that fault alone, and
+    validate_filling returns it."""
+    wrap = _NOT_A_ROW[kind]
+    where = data.draw(st.integers(0, len(t.rows)), label="row index, or all rows")
+
+    def rows():  # a fresh one for each reader, as a generator reads once
+        if where == len(t.rows):
+            return wrap(t.rows)
+        return [wrap(row) if i == where else list(row) for i, row in enumerate(t.rows)]
+
+    fault, what = (rows(), "rows are") if where == len(t.rows) else (rows()[where], f"row {where + 1} is")
+    expected = [f"{what} of type {type(fault).__name__}, not a list or a tuple"]
+    assert validate_filling(t.shape, rows()) == expected
+    for build in (Tableau, make_tableau):
+        with pytest.raises(TableauError) as caught:
+            build(t.shape, rows())
+        assert caught.value.violations == expected

@@ -1,13 +1,29 @@
-"""The code examples of README.md run as written."""
+"""The code examples of README.md run as written, and its Public API list
+is `tabinv.__all__`."""
 
+import importlib
 import re
 
+import tabinv
 from conftest import TESTS_DIR
+
+README = (TESTS_DIR.parent / "README.md").read_text(encoding="utf-8")
 
 
 def test_readme_python_blocks_run():
-    text = (TESTS_DIR.parent / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S)
+    blocks = re.findall(r"^```python\n(.*?)^```", README, flags=re.M | re.S)
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_public_api_list_is_all():
+    # One line per module, "- `module`: `name`, `name`, ..."; each name is
+    # the module's own object, and together they are __all__, once each.
+    section = README.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    listed = []
+    for module, names in re.findall(r"^- `([\w.]+)`: (.*)$", section, flags=re.M):
+        for name in re.findall(r"`(\w+)`", names):
+            assert getattr(importlib.import_module(module), name) is getattr(tabinv, name), (module, name)
+            listed.append(name)
+    assert sorted(listed) == sorted(tabinv.__all__)
