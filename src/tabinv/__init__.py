@@ -1,5 +1,7 @@
 """Inversion statistics and cycling bijections on standard Young tableaux."""
 
+from types import ModuleType as _ModuleType
+
 from .enumeration import (
     DistributionPolynomial,
     EquidistributionReport,
@@ -71,4 +73,5 @@ from .model import (
 )
 from .stats import comaj, descent_set, maj
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names imported above; not the submodules, which the imports also bind.
+__all__ = [name for name, obj in globals().items() if not name.startswith("_") and not isinstance(obj, _ModuleType)]

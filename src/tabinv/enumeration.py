@@ -15,15 +15,15 @@ from .model import Cell, Shape, Tableau, _Checked
 # of stats.maj, stats.comaj, inversion.inv_statistic and
 # inversion.cinv_statistic.  maj and comaj are the descent sums the walk
 # keeps, one step per placement, so the pass calls no stats function; inv
-# and cinv run the forward cascade that Tableau records (`_inversions`) on
-# pos itself, building no Tableau.  The filling is not validated, so pos
+# and cinv run the forward cascade (`_inversions`) on pos itself, with no
+# path recorded and no Tableau built.  The filling is not validated, so pos
 # must come from `_fillings`, whose placement guard proved it standard.
 # A dict of the four names, so that a tracer can wrap its entries.
 STATISTICS: dict[str, Callable[[Shape, list[Cell], int, int], int]] = {
     "maj": lambda s, pos, maj, comaj: maj,
     "comaj": lambda s, pos, maj, comaj: comaj,
-    "inv": lambda s, pos, maj, comaj: _inversions(s, pos).count(),
-    "cinv": lambda s, pos, maj, comaj: _inversions(s, pos, turned=True).count(),
+    "inv": lambda s, pos, maj, comaj: _inversions(s, pos).count,
+    "cinv": lambda s, pos, maj, comaj: _inversions(s, pos, turned=True).count,
 }
 
 

@@ -14,30 +14,36 @@ the cell of each content.  A path is kept as the height at which it crosses
 each column, so a cell is below a path exactly when its row is at most the
 height of its column.  Both step rules cut the contents below the pivot
 into runs of consecutive contents, so a block is an interval [a, b) of
-contents.  The forward step finds its blocks in one scan of the contents
-(`_blocks`), the reverse step in one downward scan that resumes as its path
-grows (`_Grid.phi_step`), and cycling a block rotates the slice pos[a:b] one
+contents.  The forward step finds its blocks in one scan of the contents,
+the reverse step in one downward scan that resumes as its path grows
+(`_Grid.phi_step`), and cycling a block rotates the slice pos[a:b] one
 place and writes its contents back to their new cells (`_Grid.cycle`).  A
 step returns only the blocks it cycled; `_partition` rebuilds the rest.
 Every path stops at its first absent neighbour, the border included, and
-runs South and then West from there (`_Grid.heights`): each cell weakly
+runs South and then West from there (`_heights`): each cell weakly
 south-west of that point is inner, so that tail decides no content, and
 the paper's abstract (PAPER.md) does not fix it.  Paths are only outputs:
 a function that needs one works it out from the tableau and the pivot.
 
-The inversion statistic is counted from the paths the forward cascade
-records (`_Cascade`), one per pivot, n down to 1, each the path its own
-`psi_step` takes: pivots 2 and 1 cycle nothing, and the path of 1, taken
-where 1 ends up, is the trivial path at the lower-left corner of that
-exempt cell.  Each path counts the cells below it (`_below`), with
-no pair built; only the callers that return the pairs build them
-(`_pairs`), from the same paths and the same rule.  A Tableau runs each
-forward cascade, SW and NE, at most once: its record (`_forward`) stays on
-the Tableau, and psi, the statistic, its pairs, paths and code (and
-comaj_map and cinv_statistic, the NE mirrors of psi and the statistic)
-all read it; psi's image is built from the grid the cascade ran on.  phi
-always runs its own reverse cascade.  The NE pairs and paths are those
-of `model.rotate_complement(t)`, turned back.
+Every forward step runs in one loop (`_cascade`): for each pivot in turn
+it takes the path (`_heights`), scans the blocks, cycles and checks them,
+and adds the cells its path counts on the grid's start contents: those
+whose content is below the start content of the path's cell and that lie
+below the path.  Run over pivots n down to 1 (`_inversions`), the count
+is the inversion statistic: pivots 2 and 1 cycle nothing, and the path of
+1, taken where 1 ends up, is the trivial path at the lower-left corner of
+that exempt cell.  psi, psi_k, the forward stages of map_trace,
+forward_blocks and ne_blocks run the same loop.  It keeps each pivot's
+cell, path and blocks (`_Cascade.steps`) only when asked: a Tableau's
+record asks, the enumerator's statistics do not, so a statistics pass
+holds O(n + width) entries per SYT.  Only the callers that read the
+pairs build them (`_pairs`), from the kept paths and the rule the count
+uses.  A Tableau runs each forward cascade, SW and NE, at most once: its
+record (`_forward`) stays on the Tableau, and psi, the statistic, its
+pairs, paths and code (and comaj_map and cinv_statistic, the NE mirrors
+of psi and the statistic) all read it; psi's image is built from the grid
+the cascade ran on.  phi always runs its own reverse cascade.  The NE
+pairs and paths are those of `model.rotate_complement(t)`, turned back.
 
 A grid is filled from the cell of each content of a standard filling:
 a Tableau's, which its construction proved standard, or one the
@@ -90,35 +96,34 @@ def _lattice_path(cell: Cell, h: list[int]) -> LatticePath:
     return LatticePath((j - 1, i - 1), "".join(steps))
 
 
-def _blocks(pos: list[Cell], h: list[int], k: int) -> list[tuple[int, int]]:
-    """The cycling blocks of two or more contents below k, for the path
-    with column heights h, as intervals [a, b), in one scan.
-
-    Scanned in increasing content order, a content on the side of the cell
-    of 1 opens a block and one on the other side extends the current one,
-    so each block is a run of consecutive contents.  Blocks of one content,
-    which cycling leaves alone, are left out (`_partition` adds them).
-    Below 3 no run of two contents fits, so there is nothing to scan."""
-    if k < 3:
-        return []
-    i, j = pos[1]
-    anchor = i <= h[j]
-    runs: list[tuple[int, int]] = []
-    a = 1
-    for c in range(2, k):
-        i, j = pos[c]
-        if (i <= h[j]) == anchor:
-            if c - a > 1:
-                runs.append((a, c))
-            a = c
-    if k - a > 1:
-        runs.append((a, k))
-    return runs
+def _heights(g: list[list[int]], cell: Cell, width: int) -> list[int]:
+    """Column heights of the SW path from the lower-left corner of cell on
+    the grid contents g, of width columns.  At each corner it steps West
+    when the content up and to the left beats the one down and to the
+    right, else South, until one of them is absent (the border included),
+    as in `_Grid.phi_step`.  Every cell weakly south-west of that point is
+    inner, so the rest decides no content: it runs South to the x-axis and
+    then West, a tail that PAPER.md (the abstract alone) does not fix."""
+    r, s = cell
+    h = [r] * (width + 1)
+    x, y = s - 1, r - 1
+    up, row = g[r], g[y]  # rows y+1 and y, either side of the point (x, y)
+    while (left := up[x]) and (below := row[x + 1]):
+        if left > below:
+            h[x] = y
+            x -= 1
+        else:
+            y -= 1
+            up, row = row, g[y]
+    while x:  # the tail at height 0; a loop is cheaper than a slice on short tails
+        h[x] = 0
+        x -= 1
+    return h
 
 
 def _partition(runs: list[tuple[int, int]], k: int) -> list[tuple[int, int]]:
     """All the blocks [a, b) of the contents below k, in order, from those
-    of two or more (`_blocks`); every other content is a block of its own."""
+    of two or more (`_cascade`); every other content is a block of its own."""
     inside = {c for a, b in runs for c in range(a + 1, b)}
     starts = [c for c in range(1, k) if c not in inside]
     return list(zip(starts, starts[1:] + [k]))
@@ -131,7 +136,7 @@ class _Grid:
     border of zeros on every side; pos[c] is the cell holding content c.
     A grid built `turned` starts as the grid of the filling's
     rotate_complement.  No path reads past its first absent neighbour
-    (`heights`), so absent cells hold 0 either way.  A pivot step cycles
+    (`_heights`), so absent cells hold 0 either way.  A pivot step cycles
     blocks of consecutive contents (`cycle`) and then checks the contents
     it moved (`check`).
     """
@@ -169,31 +174,6 @@ class _Grid:
 
     def tableau(self) -> Tableau:
         return Tableau(self.shape, self.rows())
-
-    def heights(self, k: int) -> list[int]:
-        """Column heights of the SW path from the lower-left corner of the
-        cell of k.  At each corner it steps West when the content up and to
-        the left beats the one down and to the right, else South, until one
-        of them is absent (the border included), as in `phi_step`.  Every
-        cell weakly south-west of that point is inner, so the rest decides
-        no content: it runs South to the x-axis and then West, a tail that
-        PAPER.md (the abstract alone) does not fix."""
-        g = self.g
-        r, s = self.pos[k]
-        h = [r] * (self.width + 1)
-        x, y = s - 1, r - 1
-        up, row = g[r], g[y]  # rows y+1 and y, either side of the point (x, y)
-        while (left := up[x]) and (below := row[x + 1]):
-            if left > below:
-                h[x] = y
-                x -= 1
-            else:
-                y -= 1
-                up, row = row, g[y]
-        while x:  # the tail at height 0; a loop is cheaper than a slice on short tails
-            h[x] = 0
-            x -= 1
-        return h
 
     def cycle(self, blocks: list[tuple[int, int]], forward: bool = True) -> None:
         """Cycle each block [a, b) of consecutive contents one place.
@@ -244,16 +224,6 @@ class _Grid:
                     context = step if k is None else f"{step}_{k}"
                     raise AlgorithmError(f"{context} produced an invalid tableau: {violations}")
 
-    def psi_step(self, k: int) -> tuple[list[int], list[tuple[int, int]]]:
-        """Forward cycling for pivot k along its inversion path; returns the
-        path's heights and the blocks it cycled (`_blocks`), none for k <= 2."""
-        h = self.heights(k)
-        moved = _blocks(self.pos, h, k)
-        if moved:
-            self.cycle(moved)
-            self.check(moved, "psi", k)
-        return h, moved
-
     def phi_step(self, k: int) -> list[tuple[int, int]]:
         """Reverse cycling for pivot k; returns the blocks [a, b) of two or
         more contents it cycled, from the top down (none for k <= 2).
@@ -274,7 +244,7 @@ class _Grid:
         a content on the anchor side followed by the maximal run below it
         on the other side.  The scan keeps its cursor c from step to step,
         so no content is tested twice.  Each block is a run of consecutive
-        contents, which cycles one place the other way from `psi_step`
+        contents, which cycles one place the other way from the forward step
         before the path's next step; cycling trades only the cells of
         contents that have joined a block, so the sides of the others stay
         true.  The step is checked once, on all the contents it moved; a
@@ -324,6 +294,69 @@ class _Grid:
         return moved
 
 
+class _Cascade(namedtuple("_Cascade", "steps start grid count")):
+    """One run of the forward loop (`_cascade`).  Read only.
+
+    steps: list[tuple[Cell, list[int], list[tuple[int, int]]]] or None,
+    (start cell, column heights, blocks cycled) for each pivot in the
+    order run, each the path that pivot's step took; None when the run was
+    not recorded.  start: tuple[list[list[int]], list[Cell]], the grid's
+    contents and cell of each content before the first step.  grid:
+    _Grid, the grid after the last step.  count: int, the cells the paths
+    count on the start contents."""
+
+    __slots__ = ()
+
+
+def _cascade(grid: _Grid, pivots, steps: list | None = None) -> _Cascade:
+    """Run the forward step of each pivot in turn on grid, and count.
+
+    Each step takes the path from the cell of its pivot k (`_heights`),
+    finds the blocks of two or more contents below k, cycles them
+    (`_Grid.cycle`) and checks the contents it moved (`_Grid.check`).  The
+    blocks are found in one scan in increasing content order: a content on
+    the side of the cell of 1 opens a block and one on the other side
+    extends the current one, so each block is a run [a, b) of consecutive
+    contents.  Below 3 no run of two contents fits, so pivots 2 and 1 scan
+    and cycle nothing; blocks of one content, which cycling leaves alone,
+    are left out (`_partition` adds them).
+
+    The step then counts, on the grid's start contents, each cell whose
+    content is below the start content of the path's cell and that lies
+    below the path.  Each step's cell, path and blocks are appended to
+    steps, if it is a list; with None, the run keeps them nowhere, so it
+    holds O(n + width) entries at any time.
+    """
+    g, pos, width = grid.g, grid.pos, grid.width
+    g0, pos0 = start = [row[:] for row in g], pos[:]
+    count = 0
+    for k in pivots:
+        cell = pos[k]
+        h = _heights(g, cell, width)
+        moved = []
+        if k > 2:
+            i, j = pos[1]
+            anchor = i <= h[j]
+            a = 1
+            for c in range(2, k):
+                i, j = pos[c]
+                if (i <= h[j]) == anchor:
+                    if c - a > 1:
+                        moved.append((a, c))
+                    a = c
+            if k - a > 1:
+                moved.append((a, k))
+            if moved:
+                grid.cycle(moved)
+                grid.check(moved, "psi", k)
+        for i, j in pos0[1 : g0[cell[0]][cell[1]]]:
+            if i <= h[j]:
+                count += 1
+        if steps is not None:
+            steps.append((cell, h, moved))
+    return _Cascade(steps, start, grid, count)
+
+
 def _check_pivot(t: Tableau, k: int, what: str = "pivot") -> None:
     if not 1 <= k <= t.n:
         raise ValueError(f"{what} {k} outside 1..{t.n}")
@@ -335,7 +368,7 @@ def inversion_path(t: Tableau, k: int) -> LatticePath:
     At each corner the path steps toward the larger of the two neighbour
     contents below and to the left.  It stops at its first absent
     neighbour and runs South, then West, to the origin: every cell past
-    that point is inner, so the tail decides no content (`_Grid.heights`).
+    that point is inner, so the tail decides no content (`_heights`).
 
     This is the path on t itself.  The path that `inversion_path_set(t)`
     records for the cell holding k is taken later in the cascade, so the two
@@ -343,7 +376,7 @@ def inversion_path(t: Tableau, k: int) -> LatticePath:
     """
     _check_pivot(t, k, "content")
     grid = _Grid(t.shape, t.positions())
-    return _lattice_path(grid.pos[k], grid.heights(k))
+    return _lattice_path(grid.pos[k], _heights(grid.g, grid.pos[k], grid.width))
 
 
 def forward_blocks(t: Tableau, k: int) -> BlockPartition:
@@ -358,10 +391,12 @@ def forward_blocks(t: Tableau, k: int) -> BlockPartition:
 
 
 def _sw_blocks(grid: _Grid, k: int) -> BlockPartition:
-    """`forward_blocks` on the contents of a grid."""
-    pos, h = grid.pos, grid.heights(k)
+    """`forward_blocks` on the contents of a grid, from the step that pivot
+    k takes on it (`_cascade`); the grid is left cycled."""
+    pos = grid.pos[:]
+    ((_, h, runs),) = _cascade(grid, [k], steps=[]).steps
     i, j = pos[1]
-    blocks = tuple(tuple(pos[a:b]) for a, b in _partition(_blocks(pos, h, k), k))
+    blocks = tuple(tuple(pos[a:b]) for a, b in _partition(runs, k))
     return BlockPartition(k, BELOW if i <= h[j] else ABOVE, blocks)
 
 
@@ -370,8 +405,8 @@ def classify_side(t: Tableau, k: int, cell: Cell) -> str:
     _check_pivot(t, k, "content")
     if cell not in t.shape:
         raise ValueError(f"cell {cell} not in shape {t.shape}")
-    i, j = cell
-    return BELOW if i <= _Grid(t.shape, t.positions()).heights(k)[j] else ABOVE
+    grid = _Grid(t.shape, t.positions())
+    return BELOW if cell[0] <= _heights(grid.g, grid.pos[k], grid.width)[cell[1]] else ABOVE
 
 
 class MapStage(namedtuple("MapStage", "k path blocks result")):
@@ -385,17 +420,17 @@ class MapStage(namedtuple("MapStage", "k path blocks result")):
     __slots__ = ()
 
 
-def _cycled(t: Tableau, step, pivots) -> Tableau:
-    grid = _Grid(t.shape, t.positions())
+def _reversed(s: Tableau, pivots) -> Tableau:
+    grid = _Grid(s.shape, s.positions())
     for k in pivots:
-        step(grid, k)
+        grid.phi_step(k)
     return grid.tableau()
 
 
 def psi_k(t: Tableau, k: int) -> Tableau:
     """One forward cycling step for pivot k (pivots 1 and 2 cycle nothing)."""
     _check_pivot(t, k)
-    return _cycled(t, _Grid.psi_step, [k])
+    return _cascade(_Grid(t.shape, t.positions()), [k]).grid.tableau()
 
 
 def psi(t: Tableau) -> Tableau:
@@ -407,12 +442,12 @@ def psi(t: Tableau) -> Tableau:
 def phi_k(s: Tableau, k: int) -> Tableau:
     """Inverse of psi_k, by reverse cycling along the reconstructed path."""
     _check_pivot(s, k)
-    return _cycled(s, _Grid.phi_step, [k])
+    return _reversed(s, [k])
 
 
 def phi(s: Tableau) -> Tableau:
     """Inverse composite map, pivots 3 up to n."""
-    return _cycled(s, _Grid.phi_step, range(3, s.n + 1))
+    return _reversed(s, range(3, s.n + 1))
 
 
 class InversionPathSet(namedtuple("InversionPathSet", "paths exempt pairs")):
@@ -431,84 +466,55 @@ class InversionPathSet(namedtuple("InversionPathSet", "paths exempt pairs")):
     __slots__ = ()
 
 
-class _Cascade(namedtuple("_Cascade", "paths start grid")):
-    """One forward cascade, as `_inversions` records it.  Read only.
+def _inversions(shape: Shape, pos: list[Cell], turned: bool = False, steps: list | None = None) -> _Cascade:
+    """The forward cascade (`_cascade`), pivots n down to 1, on the grid of
+    the filling of shape with content c in cell pos[c], turned if `turned`
+    (as `_Grid` is), with each step appended to steps if it is a list.
 
-    paths: list[tuple[Cell, list[int]]], (start cell, column heights) for
-    pivots n down to 1, each the path `psi_step` took; the last is the
-    exempt cell's trivial path.  start: tuple[list[list[int]], list[Cell]],
-    the grid's contents and cell of each content before the first step.
-    grid: _Grid, the grid after the last."""
-
-    __slots__ = ()
-
-    def count(self) -> int:
-        """The inversion statistic the paths count (`_below`)."""
-        return len(_below(*self.start, self.paths))
-
-
-def _inversions(shape: Shape, pos: list[Cell], turned: bool = False) -> _Cascade:
-    """Run the forward cascade on the grid of the filling of shape with
-    content c in cell pos[c] (turned if `turned`, as `_Grid` is) and record
-    every path that anchors inversion pairs, the grid's starting contents,
-    on which they count (`_below`), and the grid itself, which then holds
-    the output end.  By one rule for every pivot, k = n down to 1, the path
-    is the one `psi_step` takes from the cell of k just before it cycles.
-    Pivots 2 and 1 cycle nothing, and 1, the smallest content, has no
-    neighbour to its left or below, so its path, taken where 1 ends up, is
-    the trivial path at the lower-left corner of that exempt cell.  The
-    statistic is the number of counted cells (`_Cascade.count`); only the
-    callers that return pairs build them (`_pairs`).
-
-    Once pivot k has cycled, content k never moves again, so the path start
-    cells are distinct.
+    By one rule for every pivot, its path is the one its step takes from
+    the cell of k just before it cycles.  Pivots 2 and 1 cycle nothing, and
+    1, the smallest content, has no neighbour to its left or below, so its
+    path, taken where 1 ends up, is the trivial path at the lower-left
+    corner of that exempt cell.  Once pivot k has cycled, content k never
+    moves again, so the path start cells are distinct.
     """
-    grid = _Grid(shape, pos, turned)
-    pos = grid.pos
-    start = [row[:] for row in grid.g], pos[:]
-    return _Cascade([(pos[k], grid.psi_step(k)[0]) for k in range(len(pos) - 1, 0, -1)], start, grid)
+    return _cascade(_Grid(shape, pos, turned), range(len(pos) - 1, 0, -1), steps)
 
 
 def _forward(t: Tableau, turned: bool = False) -> _Cascade:
     """The forward cascade of t, on a grid turned (`model._turned`) if `turned`.
 
     It runs on the first call for t and orientation, with every step
-    checked, and its record is kept on t, so it lives as long as t does;
-    later calls read it.  A cascade that raises keeps no record.  Either
-    orientation keeps the record as `_inversions` made it, so a turned
-    record's grid is turned."""
+    checked and every path recorded, and its record is kept on t, so it
+    lives as long as t does; later calls read it.  A cascade that raises
+    keeps no record.  Either orientation keeps the record as `_inversions`
+    made it, so a turned record's grid is turned."""
     key = "_ne_cascade" if turned else "_sw_cascade"
     record = t.__dict__.get(key)
     if record is None:
-        record = _inversions(t.shape, t.positions(), turned)
+        record = _inversions(t.shape, t.positions(), turned, steps=[])
         object.__setattr__(t, key, record)  # Tableau is frozen; its fields stay as they are
     return record
 
 
-def _below(g: list[list[int]], pos: list[Cell], paths: list[tuple[Cell, list[int]]]) -> list[Cell]:
-    """The cells the paths count on the grid contents g, with pos the cell
-    of each content, path after path: for a path with start cell (i, j)
-    and column heights h, each cell whose content is below g[i][j] and that
-    lies below the path."""
-    return [cell for (i, j), h in paths for cell in pos[1 : g[i][j]] if cell[0] <= h[cell[1]]]
-
-
-def _pairs(
-    paths: list[tuple[Cell, list[int]]], start: tuple[list[list[int]], list[Cell]]
-) -> list[tuple[Cell, Cell]]:
-    """(path cell, counted cell) for each cell a path counts (`_below`)."""
-    return [(path[0], cell) for path in paths for cell in _below(*start, [path])]
+def _pairs(record: _Cascade) -> list[tuple[Cell, Cell]]:
+    """(path cell, counted cell) for each cell a recorded cascade counts:
+    for a path with start cell (i, j) and column heights h, each cell whose
+    start content is below the start content of (i, j) and that lies below
+    the path, as `_cascade` counts them."""
+    g, pos = record.start
+    return [((i, j), cell) for (i, j), h, _ in record.steps for cell in pos[1 : g[i][j]] if cell[0] <= h[cell[1]]]
 
 
 def inversion_path_set(t: Tableau) -> InversionPathSet:
     """The n-1 inversion paths, recorded along the forward cascade: each on
     the cascade's tableau just before its pivot's step (see
     `InversionPathSet`), not on t."""
-    paths, start, _ = _forward(t)
+    record = _forward(t)
     return InversionPathSet(
-        {cell: _lattice_path(cell, h) for cell, h in paths[:-1]},
-        paths[-1][0] if paths else None,
-        set(_pairs(paths, start)),
+        {cell: _lattice_path(cell, h) for cell, h, _ in record.steps[:-1]},
+        record.steps[-1][0] if record.steps else None,
+        set(_pairs(record)),
     )
 
 
@@ -524,12 +530,11 @@ def inversion_pairs(t: Tableau) -> set[tuple[Cell, Cell]]:
     and therefore anchors nothing; on skew shapes the rule is what makes
     the statistic match the major index of the composite map.
     """
-    record = _forward(t)
-    return set(_pairs(record.paths, record.start))
+    return set(_pairs(_forward(t)))
 
 
 def inv_statistic(t: Tableau) -> int:
-    return _forward(t).count()
+    return _forward(t).count
 
 
 def map_trace(t: Tableau, forward: bool = True) -> list[MapStage]:
@@ -539,17 +544,17 @@ def map_trace(t: Tableau, forward: bool = True) -> list[MapStage]:
 
     A stage's blocks are all its blocks (`_partition`), on the cells of the
     stage's input.  A phi_k stage shows the path that psi_k takes on the
-    stage's result (`heights`), and its blocks as phi finds them: scanning
+    stage's result (`_heights`), and its blocks as phi finds them: scanning
     down, each from its top content."""
     grid = _Grid(t.shape, t.positions())
     stages = []
     for k in range(t.n, 2, -1) if forward else range(3, t.n + 1):
         before = grid.pos[:]
         if forward:
-            h, runs = grid.psi_step(k)
+            ((_, h, runs),) = _cascade(grid, [k], steps=[]).steps
             blocks = [tuple(before[a:b]) for a, b in _partition(runs, k)]
         else:
-            runs, h = grid.phi_step(k), grid.heights(k)
+            runs, h = grid.phi_step(k), _heights(grid.g, grid.pos[k], grid.width)
             blocks = [tuple(before[a:b][::-1]) for a, b in reversed(_partition(runs, k))]
         stages.append(MapStage(k, _lattice_path(grid.pos[k], h), tuple(blocks), Filling(grid.shape, grid.rows())))
     return stages
@@ -558,11 +563,10 @@ def map_trace(t: Tableau, forward: bool = True) -> list[MapStage]:
 def inv_code(t: Tableau) -> list[int]:
     """Per-content inversion counts: entry k-1 is the number of pairs whose
     larger cell holds k.  Sums to the inversion statistic."""
-    code = [0] * t.n
-    paths, start, _ = _forward(t)
-    for path in paths:
-        i, j = path[0]
-        code[start[0][i][j] - 1] = len(_below(*start, [path]))  # start[0] is t's own grid
+    record = _forward(t)
+    g, code = record.start[0], [0] * t.n  # g is t's own grid
+    for (i, j), _ in _pairs(record):
+        code[g[i][j] - 1] += 1
     return code
 
 
@@ -599,7 +603,7 @@ def ne_inversion_path(t: Tableau, k: int) -> LatticePath:
     _check_pivot(t, k, "content")
     grid = _Grid(t.shape, t.positions(), turned=True)
     c = t.n + 1 - k
-    return _rotate_path(t.shape, _lattice_path(grid.pos[c], grid.heights(c)))
+    return _rotate_path(t.shape, _lattice_path(grid.pos[c], _heights(grid.g, grid.pos[c], grid.width)))
 
 
 def ne_blocks(t: Tableau, k: int) -> BlockPartition:
@@ -608,8 +612,8 @@ def ne_blocks(t: Tableau, k: int) -> BlockPartition:
     with their cells turned back, on the other side of the path."""
     _check_pivot(t, k)
     grid = _Grid(t.shape, t.positions(), turned=True)
-    bp = _sw_blocks(grid, t.n + 1 - k)
     back = _turned_back(t.shape, grid.pos)
+    bp = _sw_blocks(grid, t.n + 1 - k)
     blocks = tuple(tuple(map(back.get, block)) for block in bp.blocks)
     return BlockPartition(k, ABOVE if bp.anchor_side == BELOW else BELOW, blocks)
 
@@ -628,4 +632,4 @@ def cinv_statistic(t: Tableau) -> int:
     Mirroring the SW statistic, the exempt cell anchors pairs through the
     trivial path at its own upper-right corner (every larger content weakly
     north-west of it counts)."""
-    return _forward(t, turned=True).count()
+    return _forward(t, turned=True).count

@@ -135,6 +135,14 @@ def test_enumerate_parallel_matches_serial(capsys):
     assert capsys.readouterr().out == serial
 
 
+@pytest.mark.parametrize("par", [[], ["--par", "2"]], ids=["serial", "par2"])
+def test_enumerate_check_skew_543_1_golden(par, capsys):
+    # The bytes the check_skew benchmark workload parses: 2,112 SYT, four
+    # statistics and five class checks.
+    argv = ["enumerate", "--shape", "5,4,3/1", "--stat", "maj,inv,comaj,cinv", "--check", *par]
+    assert run_cli_case(argv, capsys) == (GOLDEN / "enumerate_check_skew_543_1.txt").read_text()
+
+
 # Run in a fresh interpreter: after each step, which of the modules that a
 # cold start should not pay for have been loaded since before the import,
 # plus each command's exit code and the serial and parallel enumerate output.
@@ -462,18 +470,27 @@ def test_map_runs_each_cascade_once(direction, trace, tmp_path, capsys, monkeypa
     # psi(phi(t)) reads.  Untraced, no stage is built; --trace then runs
     # map_trace's own walk once, after them, over the pivots a stage
     # prints, 7 down to 3 or 3 up to 7: for an inverse trace that is a
-    # second phi run.
-    from tabinv.inversion import _Grid
+    # second phi run.  Each forward pivot is counted as the forward loop
+    # (`_cascade`) takes it, each reverse one as `phi_step` runs it.
+    from tabinv import inversion
 
     calls = []
-    for name in ("psi_step", "phi_step"):
-        method = getattr(_Grid, name)
+    cascade, phi_step = inversion._cascade, inversion._Grid.phi_step
 
-        def counting(*args, _name=name, _method=method, **kwargs):
-            calls.append(_name)
-            return _method(*args, **kwargs)
+    def forward(grid, pivots, *args, **kwargs):
+        def taken():
+            for k in pivots:
+                calls.append("psi")
+                yield k
 
-        monkeypatch.setattr(_Grid, name, counting)
+        return cascade(grid, taken(), *args, **kwargs)
+
+    def reverse(*args, **kwargs):
+        calls.append("phi")
+        return phi_step(*args, **kwargs)
+
+    monkeypatch.setattr(inversion, "_cascade", forward)
+    monkeypatch.setattr(inversion._Grid, "phi_step", reverse)
 
     def no_trace(*args, **kwargs):
         raise AssertionError("map_trace called without --trace")
@@ -484,9 +501,9 @@ def test_map_runs_each_cascade_once(direction, trace, tmp_path, capsys, monkeypa
     path.write_text("shape: 3,2,2\n1 2 5\n3 4\n6 7\n")
     assert main(["map", "--input", str(path), "--direction", direction] + (["--trace"] if trace else [])) == 0
     capsys.readouterr()
-    psi_cascade, phi_cascade = ["psi_step"] * 7, ["phi_step"] * 5
+    psi_cascade, phi_cascade = ["psi"] * 7, ["phi"] * 5
     if direction == "forward":
-        expected, walk = psi_cascade, ["psi_step"] * 5
+        expected, walk = psi_cascade, ["psi"] * 5
     else:
         expected, walk = phi_cascade + psi_cascade, phi_cascade
     assert calls == expected + (walk if trace else [])

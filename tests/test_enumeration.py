@@ -3,6 +3,7 @@ equidistribution reports."""
 
 import concurrent.futures
 import sys
+import tracemalloc
 from math import comb
 
 import pytest
@@ -375,6 +376,22 @@ class TestValuesFromPositions:
             if s.is_straight and s.size:
                 assert distribution(s, "maj").coefficients == random_syt.q_hook_maj(s.outer), s
             assert distribution(s, "comaj") == DistributionPolynomial.from_values(expected[s]["comaj"]), s
+
+    def test_inv_and_cinv_keep_no_path_per_pivot(self):
+        # The pass counts inv and cinv without recording the paths, so it
+        # holds O(n + width) entries per SYT.  400/1 has one SYT of 399
+        # cells; recording one heights list of width + 1 entries per pivot
+        # took about 1.3 MB there.
+        s = parse_shape("400/1")
+        statistic_values(s, ["inv", "cinv"])  # leaves out one-time allocations
+        tracemalloc.start()
+        try:
+            values = statistic_values(s, ["inv", "cinv"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values == {"inv": [0], "cinv": [0]}
+        assert peak < 256 * 1024
 
     @pytest.mark.parametrize("text", ["4,3,1", "4,3,2/2", "4,4"])
     def test_parallel_values_equal_the_tableau_functions(self, text):

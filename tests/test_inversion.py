@@ -496,14 +496,19 @@ class TestCountingCascade:
 
     @pytest.mark.parametrize("first", SW_READERS + NE_READERS, ids=lambda fn: fn.__name__)
     def test_one_forward_cascade_per_tableau_and_orientation(self, first, monkeypatch):
+        # Each pivot is counted as the forward loop (`_cascade`) takes it.
         steps = []
-        psi_step = _Grid.psi_step
+        loop = inversion._cascade
 
-        def counting(self, k):
-            steps.append(k)
-            return psi_step(self, k)
+        def counting(grid, pivots, *args, **kwargs):
+            def taken():
+                for k in pivots:
+                    steps.append(k)
+                    yield k
 
-        monkeypatch.setattr(_Grid, "psi_step", counting)
+            return loop(grid, taken(), *args, **kwargs)
+
+        monkeypatch.setattr(inversion, "_cascade", counting)
         same, other = (SW_READERS, NE_READERS) if first in SW_READERS else (NE_READERS, SW_READERS)
         for t in (
             tableau_from_rows([[1, 2, 5], [3, 4, 6], [7]]),
@@ -583,6 +588,19 @@ class TestCountingCascade:
         ):
             assert inv_statistic(t) == len(inversion_pairs(t))
             assert cinv_statistic(t) == len(inversion_pairs(rotate_complement(t)))
+
+    def test_recorded_and_unrecorded_runs_agree(self):
+        # Keeping the paths changes nothing the forward loop computes: the
+        # same count and the same final grid, SW and NE, and the count is
+        # the number of pairs the record builds.
+        every_syt = (t for s in skew_catalog(7) for t in enumerate_syt(s))
+        for t in itertools.chain(every_syt, TestRandomLarge.tableaux(80, range(25, 81, 11))):
+            for turned, paired in ((False, t), (True, rotate_complement(t))):
+                bare = inversion._inversions(t.shape, t.positions(), turned)
+                record = inversion._inversions(t.shape, t.positions(), turned, steps=[])
+                assert bare.steps is None and len(record.steps) == t.n, t.rows
+                assert bare.count == record.count == len(inversion_pairs(paired)), (turned, t.rows)
+                assert (bare.grid.g, bare.grid.pos) == (record.grid.g, record.grid.pos), (turned, t.rows)
 
     def test_turned_fill_equals_turning_the_filled_grid(self):
         for t in _ne_tableaux(6):

@@ -359,7 +359,7 @@ def test_value_types_keep_their_contract(monkeypatch):
         BlockPartition: ("k", "anchor_side", "blocks"),
         MapStage: ("k", "path", "blocks", "result"),
         InversionPathSet: ("paths", "exempt", "pairs"),
-        _Cascade: ("paths", "start", "grid"),
+        _Cascade: ("steps", "start", "grid", "count"),
         DistributionPolynomial: ("coefficients",),
         ClassReport: ("stat_a", "stat_b", "pinned_cell", "poly_a", "poly_b"),
         EquidistributionReport: ("shape", "classes"),
