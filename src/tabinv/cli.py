@@ -167,8 +167,12 @@ def cmd_map(args) -> int:
         yield f"inv={out['inv']} maj={out['maj']}"
 
     _emit(args, out, lines())
-    if out["inv"] != out["maj"]:
-        print("error: inv/maj mismatch", file=sys.stderr)
+    # Inverse, psi(result) reads the record that inv_statistic(result) made.
+    failures = ["inv/maj mismatch"] if out["inv"] != out["maj"] else []
+    if not forward and psi(result) != t:
+        failures.append("psi(phi(t)) differs from the input")
+    if failures:
+        print("error: " + "; ".join(failures), file=sys.stderr)
         return 2
     return 0
 

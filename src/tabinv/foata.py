@@ -1,12 +1,23 @@
 """Classical permutation statistics, Foata's bijection, and the bridge to the
-tableau maps via staircase skew shapes."""
+tableau maps via staircase skew shapes.
+
+The bridge (`bridge_check`) is the identity
+
+    foata(perm_inverse(p)) == perm_inverse(read_staircase(phi(staircase_tableau(p))))
+
+on the staircase of disjoint squares, where p_i fills the one cell of row
+i.  `foata` is written once, letter by letter; its inverse is the bridge
+read backwards, with psi, the inverse of phi (`foata_inverse`).
+`perm_phi_direct` is a third route, written on permutations, that
+`bridge_check` compares with the other two.
+"""
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .inversion import phi
-from .model import Shape, Tableau, _decimal
+from .inversion import phi, psi
+from .model import Shape, Tableau, _decimal, _from_positions
 
 Permutation = tuple[int, ...]
 
@@ -81,21 +92,15 @@ def foata(p: Permutation) -> Permutation:
 
 
 def foata_inverse(p: Permutation) -> Permutation:
-    """Inverse of Foata's map, fixing letters from the right."""
-    word = list(check_permutation(p))
-    for m in range(len(word), 2, -1):
-        x = word[m - 1]
-        bigger = x > word[0]
-        cut = [i for i in range(m) if (word[i] < x if bigger else word[i] > x) or i == m - 1]
-        out: list[int] = []
-        prev = 0
-        for nxt in cut + [m]:
-            if nxt > prev:
-                out.extend(word[prev + 1:nxt])
-                out.append(word[prev])
-            prev = nxt
-        word[:m] = out
-    return tuple(word)
+    """Inverse of Foata's map: the bridge read backwards.
+
+    By the bridge, foata(q) is perm_inverse(read_staircase(phi(S))) for
+    S = staircase_tableau(perm_inverse(q)); psi undoes phi, and
+    staircase_tableau undoes read_staircase, so p's preimage is psi run on
+    the staircase of perm_inverse(p), read off and inverted.  The staircase
+    of n cells fills an (n+2) by (n+2) grid."""
+    q = perm_inverse(check_permutation(p))
+    return perm_inverse(read_staircase(psi(staircase_tableau(q))))
 
 
 def perm_phi_direct(p: Permutation) -> Permutation:
@@ -140,13 +145,9 @@ def staircase_shape(n: int) -> Shape:
 
 def staircase_tableau(p: Permutation) -> Tableau:
     """Disjoint-squares skew tableau with p_i in the single cell of row i."""
-    p = check_permutation(p)
-    n = len(p)
-    shape = staircase_shape(n)
-    rows: list[list[int | None]] = []
-    for i in range(1, n + 1):
-        rows.append([None] * shape.inner_at(i) + [p[i - 1]])
-    return Tableau(shape, rows)
+    n = len(check_permutation(p))
+    # Row i's one cell is its last, column n+1-i; content p_i's row is i.
+    return _from_positions(staircase_shape(n), [(0, 0)] + [(i, n + 1 - i) for i in perm_inverse(p)])
 
 
 def read_staircase(t: Tableau) -> Permutation:

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .model import Cell, Filling, Shape, Tableau, _rotated_shape, _turned, validate_filling
+from .model import Cell, Filling, Shape, Tableau, _from_positions, _rotated_shape, _turned, validate_filling
 
 BELOW = "below"  # weakly SE of a path
 ABOVE = "above"  # weakly NW of a path
@@ -164,13 +164,14 @@ class _Grid:
         s = self.filled
         return _rotated_shape(s) if self.turned else s
 
-    def rows(self) -> tuple[tuple[int | None, ...], ...]:
-        """The grid's contents as `Tableau.rows` holds them, unvalidated."""
+    def rows(self) -> list[tuple[int | None, ...]]:
+        """The grid's rows, unvalidated, each a tuple as `Tableau.rows`
+        holds it, in a list that `Tableau.__new__` turns into a tuple once."""
         s = self.shape
-        return tuple(
+        return [
             (None,) * s.inner_at(i) + tuple(self.g[i][s.inner_at(i) + 1 : s.outer[i - 1] + 1])
             for i in range(1, s.n_rows + 1)
-        )
+        ]
 
     def tableau(self) -> Tableau:
         return Tableau(self.shape, self.rows())
@@ -556,7 +557,8 @@ def map_trace(t: Tableau, forward: bool = True) -> list[MapStage]:
         else:
             runs, h = grid.phi_step(k), _heights(grid.g, grid.pos[k], grid.width)
             blocks = [tuple(before[a:b][::-1]) for a, b in reversed(_partition(runs, k))]
-        stages.append(MapStage(k, _lattice_path(grid.pos[k], h), tuple(blocks), Filling(grid.shape, grid.rows())))
+        result = Filling(grid.shape, tuple(grid.rows()))
+        stages.append(MapStage(k, _lattice_path(grid.pos[k], h), tuple(blocks), result))
     return stages
 
 
@@ -622,7 +624,7 @@ def comaj_map(t: Tableau) -> Tableau:
     """Composite NE-variant map, pivots 1 up to n-2; fixes the cell of 1.
 
     psi run on the turned grid, whose cells turn back into t's own shape."""
-    return _Grid(t.shape, _turned(t.shape, _forward(t, turned=True).grid.pos)).tableau()
+    return _from_positions(t.shape, _turned(t.shape, _forward(t, turned=True).grid.pos))
 
 
 def cinv_statistic(t: Tableau) -> int:

@@ -301,12 +301,20 @@ def make_tableau(shape: Shape, rows: list[list[int | None]]) -> Tableau:
     return Tableau(shape, rows)
 
 
+def _from_positions(shape: Shape, pos: list[Cell]) -> Tableau:
+    """The Tableau of shape with content c in cell pos[c] (pos[0] unused),
+    None on the inner cells.  The one builder of a tableau read off the
+    cell of each content; like every construction, it validates."""
+    rows: list[list[int | None]] = [[None] * p for p in shape.outer]
+    for c in range(1, len(pos)):
+        i, j = pos[c]
+        rows[i - 1][j - 1] = c
+    return Tableau(shape, rows)
+
+
 def conjugate(t: Tableau) -> Tableau:
-    """Transpose across the main diagonal; content of (i,j) moves to (j,i).
-    Column j of the rows, inner placeholders included, is row j of the
-    transpose."""
-    rows = [[row[j] for row in t.rows if j < len(row)] for j in range(t.shape.width)]
-    return Tableau(t.shape.conjugate(), rows)
+    """Transpose across the main diagonal; content of (i,j) moves to (j,i)."""
+    return _from_positions(t.shape.conjugate(), [(j, i) for i, j in t.positions()])
 
 
 def rotate_complement(t: Tableau) -> Tableau:
@@ -317,11 +325,7 @@ def rotate_complement(t: Tableau) -> Tableau:
     shape has no leading empty rows or columns; on other shapes those rows
     and columns end up trailing and are trimmed (`_rotated_shape`).
     """
-    shape = _rotated_shape(t.shape)
-    rows: list[list[int | None]] = [[None] * p for p in shape.outer]
-    for c, (i, j) in enumerate(_turned(t.shape, t.positions())[1:], start=1):
-        rows[i - 1][j - 1] = c
-    return Tableau(shape, rows)
+    return _from_positions(_rotated_shape(t.shape), _turned(t.shape, t.positions()))
 
 
 def _turned(shape: Shape, pos: list[Cell]) -> list[Cell]:

@@ -513,20 +513,27 @@ def test_map_runs_each_cascade_once(direction, trace, tmp_path, capsys, monkeypa
 @pytest.mark.parametrize("direction", ["forward", "inverse"])
 def test_map_gets_its_image_from_psi_or_phi_once(direction, trace, capsys, monkeypatch):
     # The image is psi(t) or phi(t) with or without --trace; the stages
-    # only print.
+    # only print.  Inverse, psi then runs once more, on phi's image, to
+    # check that it gives the input back.
     calls = []
     for name in ("psi", "phi"):
         fn = getattr(cli, name)
 
         def counting(t, _name=name, _fn=fn):
-            calls.append(_name)
-            return _fn(t)
+            result = _fn(t)
+            calls.append((_name, t, result))
+            return result
 
         monkeypatch.setattr(cli, name, counting)
     argv = ["map", "--input", str(FIXTURES / "skew_321_21.txt"), "--direction", direction]
     assert main(argv + (["--trace"] if trace else [])) == 0
     capsys.readouterr()
-    assert calls == ["psi" if direction == "forward" else "phi"]
+    if direction == "forward":
+        assert [name for name, _, _ in calls] == ["psi"]
+    else:
+        (phi_name, t, image), (psi_name, source, back) = calls
+        assert (phi_name, psi_name) == ("phi", "psi")
+        assert source is image and back == t
 
 
 @pytest.fixture
@@ -873,6 +880,30 @@ def test_map_mismatch_exits_2(direction, capsys, monkeypatch):
     record = json.loads(captured.out)
     assert record["inv"] == record["maj"] + 1
     assert captured.err == "error: inv/maj mismatch\n"
+
+
+@pytest.mark.parametrize("inv_off", [False, True], ids=["round-trip", "round-trip-and-inv"])
+def test_map_inverse_round_trip_failure_exits_2(inv_off, capsys, monkeypatch):
+    # Inverse, map also checks psi(phi(t)) == t.  A psi that returns its
+    # argument unchanged breaks it, since phi moves this input; each failed
+    # claim is named on the one error line.
+    import tabinv.cli as cli
+
+    monkeypatch.setattr(cli, "psi", lambda s: s)
+    if inv_off:
+        inv_statistic = cli.inv_statistic
+        monkeypatch.setattr(cli, "inv_statistic", lambda t: inv_statistic(t) + 1)
+    expected = "error: " + "inv/maj mismatch; " * inv_off + "psi(phi(t)) differs from the input\n"
+    argv = ["map", "--input", str(FIXTURES / "straight_2x2.txt"), "--direction", "inverse"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:3] == ["1 3", "2 4"]  # phi's image, not the input 1 2 / 3 4
+    assert captured.err == expected
+    assert main(argv + ["--format", "json"]) == 2
+    captured = capsys.readouterr()
+    record = json.loads(captured.out)
+    assert record["output"]["rows"] != record["input"]["rows"]
+    assert captured.err == expected
 
 
 def _steps(text):

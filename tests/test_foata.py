@@ -1,6 +1,9 @@
 """The classical permutation bijection and its tableau counterpart on
 staircase shapes."""
 
+import random
+import re
+
 import pytest
 
 from tabinv import (
@@ -56,6 +59,21 @@ class TestFoata:
         for p in permutations(range(1, 6)):
             assert foata_inverse(foata(p)) == p
             assert perm_maj(p) == perm_inv(foata(p))
+
+    @pytest.mark.parametrize("n", [50, 100, 200])
+    def test_round_trip_seeded_large(self, n):
+        # foata_inverse runs psi on the staircase; foata is written letter
+        # by letter, so each direction checks the other far past S_5.
+        rng = random.Random(n)
+        for _ in range(5):
+            p = tuple(rng.sample(range(1, n + 1), n))
+            assert foata_inverse(foata(p)) == p
+            assert foata(foata_inverse(p)) == p
+
+    def test_inverse_rejects_non_permutations(self):
+        for p in ((1, 1, 3), (2, 3), (0, 1)):
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(p))} is not a permutation of 1..{len(p)}$"):
+                foata_inverse(p)
 
 
 class TestPermutationLevelMap:

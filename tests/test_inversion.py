@@ -553,7 +553,8 @@ class TestCountingCascade:
 
     def test_psi_builds_one_grid(self, monkeypatch):
         # psi builds its image from the grid its cascade ran on; comaj_map
-        # fills a second one to turn its image back into t's shape.
+        # turns that grid's cells back into t's shape and builds its image
+        # from them (`model._from_positions`), with no second grid.
         grids = []
         init = _Grid.__init__
 
@@ -564,7 +565,7 @@ class TestCountingCascade:
         monkeypatch.setattr(_Grid, "__init__", counting)
         large = TestRandomLarge.tableaux(80, range(25, 81, 11))
         for t in itertools.chain([Tableau(Shape(()), ())], _ne_tableaux(5), large):
-            for fn, count in ((psi, 1), (comaj_map, 2)):
+            for fn, count in ((psi, 1), (comaj_map, 1)):
                 grids.clear()
                 fn(Tableau(t.shape, t.rows))
                 assert len(grids) == count, (fn.__name__, t.rows)
