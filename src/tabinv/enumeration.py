@@ -18,7 +18,11 @@ from .model import Cell, Shape, Tableau, _Checked
 # and cinv run the forward cascade (`_inversions`) on pos itself, with no
 # path recorded and no Tableau built.  The filling is not validated, so pos
 # must come from `_fillings`, whose placement guard proved it standard.
-# A dict of the four names, so that a tracer can wrap its entries.
+# A dict keyed by name, because `statistic_values`, `_check_statistics`
+# and the tests look each statistic up by name.  Every entry is a lambda, so a
+# tracer that wraps the traced public functions it finds in the dict (as
+# bench/tracing.py does) wraps none: the enumerator's inv and cinv never
+# count as inversion.* calls.
 STATISTICS: dict[str, Callable[[Shape, list[Cell], int, int], int]] = {
     "maj": lambda s, pos, maj, comaj: maj,
     "comaj": lambda s, pos, maj, comaj: comaj,

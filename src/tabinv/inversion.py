@@ -26,24 +26,30 @@ the paper's abstract (PAPER.md) does not fix it.  Paths are only outputs:
 a function that needs one works it out from the tableau and the pivot.
 
 Every forward step runs in one loop (`_cascade`): for each pivot in turn
-it takes the path (`_heights`), scans the blocks, cycles and checks them,
-and adds the cells its path counts on the grid's start contents: those
-whose content is below the start content of the path's cell and that lie
-below the path.  Run over pivots n down to 1 (`_inversions`), the count
-is the inversion statistic: pivots 2 and 1 cycle nothing, and the path of
-1, taken where 1 ends up, is the trivial path at the lower-left corner of
-that exempt cell.  psi, psi_k, the forward stages of map_trace,
-forward_blocks and ne_blocks run the same loop.  It keeps each pivot's
-cell, path and blocks (`_Cascade.steps`) only when asked: a Tableau's
-record asks, the enumerator's statistics do not, so a statistics pass
-holds O(n + width) entries per SYT.  Only the callers that read the
-pairs build them (`_pairs`), from the kept paths and the rule the count
-uses.  A Tableau runs each forward cascade, SW and NE, at most once: its
-record (`_forward`) stays on the Tableau, and psi, the statistic, its
-pairs, paths and code (and comaj_map and cinv_statistic, the NE mirrors
-of psi and the statistic) all read it; psi's image is built from the grid
-the cascade ran on.  phi always runs its own reverse cascade.  The NE
-pairs and paths are those of `model.rotate_complement(t)`, turned back.
+it takes the path (`_heights`), scans the blocks, cycles and checks
+them, and adds the cells its path counts on the grid's start contents:
+those whose content is below the start content of the path's cell and
+that lie below the path.  Run over pivots n down to 1 (`_inversions`),
+the count is the inversion statistic: pivots 2 and 1 cycle nothing, and
+the path of 1, taken where 1 ends up, is the trivial path at the
+lower-left corner of that exempt cell.  psi, psi_k, forward_blocks and
+ne_blocks run the same loop.  It keeps each pivot's cell, path and
+blocks (`_Cascade.steps`) only when asked: a Tableau's record asks, the
+enumerator's statistics do not, so a statistics pass holds O(n + width)
+entries per SYT.  Only the callers that read the pairs build them
+(`_pairs`), from the kept paths and the rule the count uses.  A Tableau
+runs each forward cascade, SW and NE, at most once: its record
+(`_forward`) stays on the Tableau, and psi, the statistic, its pairs,
+paths and code (and comaj_map and cinv_statistic, the NE mirrors of psi
+and the statistic) all read it; psi's image is built from the grid the
+cascade ran on.  phi keeps its walk on its input the same way
+(`_backward`): the blocks each reverse step cycled and the grid they
+ended on, which holds its image.  One helper (`_kept`) keeps both kinds
+of record.  phi never reads psi's record, so phi(psi(t)) == t still
+checks the inverse.  map_trace replays a kept walk, cycling its blocks
+on a fresh grid (`_Grid.cycle`), so a trace runs no pivot step that psi
+or phi of the same Tableau has run.  The NE pairs and paths are those of
+`model.rotate_complement(t)`, turned back.
 
 A grid is filled from the cell of each content of a standard filling:
 a Tableau's, which its construction proved standard, or one the
@@ -412,8 +418,8 @@ def classify_side(t: Tableau, k: int, cell: Cell) -> str:
 
 class MapStage(namedtuple("MapStage", "k path blocks result")):
     """One pivot step of a trace: its path, its blocks and the filling after
-    it, which the step's check (`_Grid.check`) proved standard;
-    `Tableau(*stage.result)` checks it again.
+    it, replayed from a kept walk whose step check (`_Grid.check`) proved
+    that filling standard; `Tableau(*stage.result)` checks it again.
 
     k: int; path: LatticePath; blocks: tuple[tuple[Cell, ...], ...];
     result: Filling."""
@@ -421,11 +427,12 @@ class MapStage(namedtuple("MapStage", "k path blocks result")):
     __slots__ = ()
 
 
-def _reversed(s: Tableau, pivots) -> Tableau:
+def _reversed(s: Tableau, pivots) -> tuple[list[list[tuple[int, int]]], _Grid]:
+    """The reverse step of each pivot in turn on the grid of s: the blocks
+    each `_Grid.phi_step` cycled, in the order run, and the grid after the
+    last step."""
     grid = _Grid(s.shape, s.positions())
-    for k in pivots:
-        grid.phi_step(k)
-    return grid.tableau()
+    return [grid.phi_step(k) for k in pivots], grid
 
 
 def psi_k(t: Tableau, k: int) -> Tableau:
@@ -443,12 +450,12 @@ def psi(t: Tableau) -> Tableau:
 def phi_k(s: Tableau, k: int) -> Tableau:
     """Inverse of psi_k, by reverse cycling along the reconstructed path."""
     _check_pivot(s, k)
-    return _reversed(s, [k])
+    return _reversed(s, [k])[1].tableau()
 
 
 def phi(s: Tableau) -> Tableau:
     """Inverse composite map, pivots 3 up to n."""
-    return _reversed(s, range(3, s.n + 1))
+    return _backward(s)[1].tableau()
 
 
 class InversionPathSet(namedtuple("InversionPathSet", "paths exempt pairs")):
@@ -482,20 +489,27 @@ def _inversions(shape: Shape, pos: list[Cell], turned: bool = False, steps: list
     return _cascade(_Grid(shape, pos, turned), range(len(pos) - 1, 0, -1), steps)
 
 
-def _forward(t: Tableau, turned: bool = False) -> _Cascade:
-    """The forward cascade of t, on a grid turned (`model._turned`) if `turned`.
+def _kept(t: Tableau, key: str, run):
+    """The value run() kept on t under key: it runs on the first call for
+    t and key, and is kept on t, so it lives as long as t does; later calls
+    read it.  A run that raises keeps nothing."""
+    if key not in t.__dict__:
+        object.__setattr__(t, key, run())  # Tableau is frozen; its fields stay as they are
+    return t.__dict__[key]
 
-    It runs on the first call for t and orientation, with every step
-    checked and every path recorded, and its record is kept on t, so it
-    lives as long as t does; later calls read it.  A cascade that raises
-    keeps no record.  Either orientation keeps the record as `_inversions`
-    made it, so a turned record's grid is turned."""
+
+def _forward(t: Tableau, turned: bool = False) -> _Cascade:
+    """The forward cascade of t, on a grid turned (`model._turned`) if
+    `turned`, with every step checked and every path recorded, kept on t
+    (`_kept`).  Either orientation keeps the record as `_inversions` made
+    it, so a turned record's grid is turned."""
     key = "_ne_cascade" if turned else "_sw_cascade"
-    record = t.__dict__.get(key)
-    if record is None:
-        record = _inversions(t.shape, t.positions(), turned, steps=[])
-        object.__setattr__(t, key, record)  # Tableau is frozen; its fields stay as they are
-    return record
+    return _kept(t, key, lambda: _inversions(t.shape, t.positions(), turned, steps=[]))
+
+
+def _backward(s: Tableau) -> tuple[list[list[tuple[int, int]]], _Grid]:
+    """phi's walk of s, pivots 3 up to n (`_reversed`), kept on s (`_kept`)."""
+    return _kept(s, "_phi_walk", lambda: _reversed(s, range(3, s.n + 1)))
 
 
 def _pairs(record: _Cascade) -> list[tuple[Cell, Cell]]:
@@ -543,20 +557,28 @@ def map_trace(t: Tableau, forward: bool = True) -> list[MapStage]:
     3 up to n, when not forward; the last stage's result is the image, and
     there is no stage when n < 3.
 
-    A stage's blocks are all its blocks (`_partition`), on the cells of the
-    stage's input.  A phi_k stage shows the path that psi_k takes on the
-    stage's result (`_heights`), and its blocks as phi finds them: scanning
-    down, each from its top content."""
+    The stages replay the walk that psi or phi keeps on t (`_forward`,
+    `_backward`), running it first if neither has: each stage cycles its
+    kept blocks on a fresh grid (`_Grid.cycle`), which the walk's own
+    checks proved standard, and no pivot step runs twice.  A stage's blocks
+    are all its blocks (`_partition`), on the cells of the stage's input.
+    A psi_k stage shows the path its step took, from the record.  A phi_k
+    stage shows the path that psi_k takes on the stage's result
+    (`_heights`), and its blocks as phi finds them: scanning down, each
+    from its top content."""
+    steps = _forward(t).steps if forward else _backward(t)[0]
     grid = _Grid(t.shape, t.positions())
     stages = []
-    for k in range(t.n, 2, -1) if forward else range(3, t.n + 1):
+    for k, step in zip(range(t.n, 2, -1) if forward else range(3, t.n + 1), steps):
         before = grid.pos[:]
         if forward:
-            ((_, h, runs),) = _cascade(grid, [k], steps=[]).steps
+            _, h, runs = step
+            grid.cycle(runs)
             blocks = [tuple(before[a:b]) for a, b in _partition(runs, k)]
         else:
-            runs, h = grid.phi_step(k), _heights(grid.g, grid.pos[k], grid.width)
-            blocks = [tuple(before[a:b][::-1]) for a, b in reversed(_partition(runs, k))]
+            grid.cycle(step, forward=False)
+            h = _heights(grid.g, grid.pos[k], grid.width)
+            blocks = [tuple(before[a:b][::-1]) for a, b in reversed(_partition(step, k))]
         result = Filling(grid.shape, tuple(grid.rows()))
         stages.append(MapStage(k, _lattice_path(grid.pos[k], h), tuple(blocks), result))
     return stages
@@ -580,11 +602,6 @@ def inv_code(t: Tableau) -> list[int]:
 # one of the turned grid (`model._turned`), rotated back.
 
 _ROTATED_STEPS = str.maketrans("WSEN", "ENWS")
-
-
-def _turned_back(shape: Shape, pos: list[Cell]) -> dict[Cell, Cell]:
-    """Each cell of a grid turned in the box of shape, with cells pos, to the cell it came from."""
-    return dict(zip(pos[1:], _turned(shape, pos)[:0:-1]))
 
 
 def _rotate_path(shape: Shape, path: LatticePath) -> LatticePath:
@@ -613,10 +630,11 @@ def ne_blocks(t: Tableau, k: int) -> BlockPartition:
     on the side holding the cell of n: the SW blocks of the turned grid,
     with their cells turned back, on the other side of the path."""
     _check_pivot(t, k)
-    grid = _Grid(t.shape, t.positions(), turned=True)
-    back = _turned_back(t.shape, grid.pos)
-    bp = _sw_blocks(grid, t.n + 1 - k)
-    blocks = tuple(tuple(map(back.get, block)) for block in bp.blocks)
+    bp = _sw_blocks(_Grid(t.shape, t.positions(), turned=True), t.n + 1 - k)
+    # The turned grid lies in t's own box, so turning its cells there again
+    # gives the cells they came from; `_turned` lists the cells it turns in
+    # reverse order, so it is given each block reversed.
+    blocks = tuple(tuple(_turned(t.shape, (None, *block[::-1]))[1:]) for block in bp.blocks)
     return BlockPartition(k, ABOVE if bp.anchor_side == BELOW else BELOW, blocks)
 
 

@@ -467,10 +467,9 @@ def test_map_runs_each_cascade_once(direction, trace, tmp_path, capsys, monkeypa
     # Forward, psi and inv read one psi cascade of the input, pivots 7 down
     # to 1.  Inverse, phi runs its cascade, pivots 3 up to 7, and inv is
     # counted on the psi cascade of phi's result, the record that
-    # psi(phi(t)) reads.  Untraced, no stage is built; --trace then runs
-    # map_trace's own walk once, after them, over the pivots a stage
-    # prints, 7 down to 3 or 3 up to 7: for an inverse trace that is a
-    # second phi run.  Each forward pivot is counted as the forward loop
+    # psi(phi(t)) reads.  Untraced, no stage is built; --trace replays the
+    # walk that psi or phi kept on the input, so it runs no pivot step of
+    # its own.  Each forward pivot is counted as the forward loop
     # (`_cascade`) takes it, each reverse one as `phi_step` runs it.
     from tabinv import inversion
 
@@ -502,11 +501,7 @@ def test_map_runs_each_cascade_once(direction, trace, tmp_path, capsys, monkeypa
     assert main(["map", "--input", str(path), "--direction", direction] + (["--trace"] if trace else [])) == 0
     capsys.readouterr()
     psi_cascade, phi_cascade = ["psi"] * 7, ["phi"] * 5
-    if direction == "forward":
-        expected, walk = psi_cascade, ["psi"] * 5
-    else:
-        expected, walk = phi_cascade + psi_cascade, phi_cascade
-    assert calls == expected + (walk if trace else [])
+    assert calls == (psi_cascade if direction == "forward" else phi_cascade + psi_cascade)
 
 
 @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "trace"])

@@ -271,6 +271,62 @@ class TestBlocksAndPsi:
                     forward = forward_blocks(before, k).blocks
                     assert {frozenset(b) for b in stage.blocks} == {frozenset(b) for b in forward}, (t.rows, k)
 
+    def test_psi_stages_follow_the_forward_definition(self):
+        # Each psi_k stage replays one step of the cascade that psi keeps on
+        # t; it must be the step run on its own: psi_k of the previous
+        # stage's tableau (t for k = n), along the path and with the
+        # blocks, in order, that inversion_path and forward_blocks take on
+        # that tableau.
+        tableaux = list(_ne_tableaux(6)) + list(TestRandomLarge.tableaux(80, range(25, 81, 11)))
+        for t in tableaux:
+            before = t
+            for stage in map_trace(t):
+                k = stage.k
+                after = psi_k(before, k)
+                assert Tableau(*stage.result) == after, (t.rows, k)
+                assert stage.path == inversion_path(before, k), (t.rows, k)
+                assert stage.blocks == forward_blocks(before, k).blocks, (t.rows, k)
+                before = after
+
+    def test_map_trace_replays_the_walk_psi_or_phi_keeps(self, monkeypatch):
+        # On a fresh tableau map_trace runs one walk, n forward pivots or
+        # n - 2 reverse steps, and keeps it; after psi(t) or phi(t) it runs
+        # none, and phi(s) called twice runs its walk once.  Each forward
+        # pivot is counted as the forward loop (`_cascade`) takes it, each
+        # reverse one as `phi_step` runs it.
+        calls = []
+        cascade, phi_step = inversion._cascade, _Grid.phi_step
+
+        def forward_loop(grid, pivots, *args, **kwargs):
+            def taken():
+                for k in pivots:
+                    calls.append("psi")
+                    yield k
+
+            return cascade(grid, taken(), *args, **kwargs)
+
+        def reverse_step(*args, **kwargs):
+            calls.append("phi")
+            return phi_step(*args, **kwargs)
+
+        monkeypatch.setattr(inversion, "_cascade", forward_loop)
+        monkeypatch.setattr(_Grid, "phi_step", reverse_step)
+        tableaux = [tableau_from_rows([[1, 2, 5], [3, 4], [6, 7]])] + list(TestRandomLarge.tableaux(5, [30]))
+        for t in tableaux:
+            for forward, walk, steps in ((True, psi, ["psi"] * t.n), (False, phi, ["phi"] * (t.n - 2))):
+                calls.clear()
+                map_trace(Tableau(*t), forward)
+                assert calls == steps, (t.rows, forward)
+                kept = Tableau(*t)
+                walk(kept)
+                calls.clear()
+                assert map_trace(kept, forward)[-1].result == walk(kept)
+                assert calls == [], (t.rows, forward)
+            calls.clear()
+            s = Tableau(*t)
+            assert phi(s) == phi(s)
+            assert calls == ["phi"] * (t.n - 2), t.rows
+
 
 class TestInvStatistic:
     def test_2x2_pairs(self):
