@@ -143,6 +143,16 @@ def test_enumerate_check_skew_543_1_golden(par, capsys):
     assert run_cli_case(argv, capsys) == (GOLDEN / "enumerate_check_skew_543_1.txt").read_text()
 
 
+@pytest.mark.parametrize("par", [[], ["--par", "2"]], ids=["serial", "par2"])
+def test_enumerate_stats_5432_golden(par, capsys):
+    # The shape the enumerate_scan benchmark workload runs: 48,048 SYT, whose
+    # maj polynomial is the q-hook formula's.
+    out = run_cli_case(["enumerate", "--shape", "5,4,3,2", "--stat", "maj,comaj", *par], capsys)
+    assert out == (GOLDEN / "enumerate_stats_5432.txt").read_text()
+    poly = re.search(r"^shape=5,4,3,2 stat=maj poly=\[(.*)\]$", out, re.M).group(1)
+    assert tuple(map(int, poly.split(","))) == random_syt.q_hook_maj((5, 4, 3, 2))
+
+
 # Run in a fresh interpreter: after each step, which of the modules that a
 # cold start should not pay for have been loaded since before the import,
 # plus each command's exit code and the serial and parallel enumerate output.

@@ -46,6 +46,11 @@ ORACLE_SHAPES = (
 )
 
 
+def _copied(fillings):
+    """The fillings of `_fillings`, each copied off the generator's live lists."""
+    return [([list(row) for row in rows], list(pos), *sums) for rows, pos, *sums in fillings]
+
+
 class TestCounting:
     @pytest.mark.parametrize(
         "shape_text,expected",
@@ -145,17 +150,50 @@ class TestCounting:
                 statistic_values(s, names)
         assert main(["enumerate", "--shape", "2,2", "--check"]) == 3
 
+    def test_placement_guard_rejects_a_cell_left_of_a_free_cell(self, monkeypatch):
+        # A placement rule that skips a cell: on 3 it offers (1,2) to 3
+        # while (1,3) is still free.  Whether a cell has a right neighbour is
+        # fixed per move, but the test of that neighbour runs on the live row.
+        placements = enumeration._placements
+
+        def skipping(inner, lengths):
+            return [(i, after[:i] + (after[i] - 1,) + after[i + 1 :]) for i, after in placements(inner, lengths)]
+
+        monkeypatch.setattr(enumeration, "_placements", skipping)
+        with pytest.raises(AlgorithmError, match=r"^content 3 offered to cell \(1,2\) "):
+            statistic_values(parse_shape("3"), ["maj"])
+
     @pytest.mark.parametrize("count", [1, 4, 64])
     @pytest.mark.parametrize("text", ["4,3,1", "4,3,2/2", "2,2/1", "3,3/3", ""])
     def test_prefix_chunks_join_into_the_serial_pass(self, text, count):
         # 3,3/3 is not normalised: its bottom row is all inner cells.
         s = parse_shape(text) if text else Shape(())
 
-        def copied(fillings):
-            return [([list(row) for row in rows], list(pos), *sums) for rows, pos, *sums in fillings]
+        chunks = [_copied(enumeration._fillings(s, prefix)) for prefix in enumeration._prefixes(s, count)]
+        assert [filling for chunk in chunks for filling in chunk] == _copied(enumeration._fillings(s))
 
-        chunks = [copied(enumeration._fillings(s, prefix)) for prefix in enumeration._prefixes(s, count)]
-        assert [filling for chunk in chunks for filling in chunk] == copied(enumeration._fillings(s))
+    def test_each_state_gets_its_moves_once_per_pass(self, monkeypatch):
+        # 5,4,3,2 has 90 free-region states; the filled one has no moves.
+        # The walk follows each move's link to the next state's moves, so a
+        # pass works out each state's moves once, however often it returns.
+        states = []
+        placements = enumeration._placements
+
+        def counting(inner, lengths):
+            states.append(lengths)
+            return placements(inner, lengths)
+
+        monkeypatch.setattr(enumeration, "_placements", counting)
+        s = Shape((5, 4, 3, 2))
+        serial = _copied(enumeration._fillings(s))
+        assert len(states) == len(set(states)) == 89
+        joined = []
+        for prefix in enumeration._prefixes(s, 16):
+            states.clear()
+            joined += _copied(enumeration._fillings(s, prefix))
+            assert len(states) == len(set(states)) <= 89, prefix
+        assert len(serial) == 48048
+        assert joined == serial
 
     @pytest.mark.parametrize("count", [1, 4, 64])
     def test_every_chunk_keeps_the_descent_sums(self, count):
