@@ -23,12 +23,12 @@ import sys
 from types import SimpleNamespace
 
 from .enumeration import (
-    REPORT_VALUES,
-    DistributionPolynomial,
+    STATISTICS,
     _check_statistics,
+    _polynomial,
     count_syt,
     equidistribution_report,
-    statistic_values,
+    statistic_counts,
 )
 from .foata import (
     bridge_check,
@@ -181,9 +181,8 @@ def cmd_enumerate(args) -> int:
     shape = _read(parse_shape, args.shape)
     stats = list(dict.fromkeys(s.strip() for s in args.stat.split(",") if s.strip()))
     _read(_check_statistics, stats)
-    names = list(dict.fromkeys(stats + (list(REPORT_VALUES) if args.check else [])))
-    values = statistic_values(shape, names, workers=args.par)
-    polys = {s: DistributionPolynomial.from_values(values[s]) for s in stats}
+    counts = statistic_counts(shape, stats + (list(STATISTICS) if args.check else []), workers=args.par)
+    polys = {s: _polynomial(shape, counts[s]) for s in stats}
     out = {
         "shape": format_shape(shape),
         "count": count_syt(shape),
@@ -203,7 +202,7 @@ def cmd_enumerate(args) -> int:
         for d in out["distributions"]
     ]
     if args.check:
-        report = equidistribution_report(shape, values)
+        report = equidistribution_report(shape, counts)
         out["check"] = {
             "ok": report.ok,
             "classes": [

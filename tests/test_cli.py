@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -844,21 +845,26 @@ def test_failed_verification_exits_2(capsys, monkeypatch):
     import tabinv.cli as cli
     from tabinv.foata import BridgeReport, bridge_check
 
-    statistic_values = cli.statistic_values
+    statistic_counts = cli.statistic_counts
 
-    def skewed_values(*args, **kwargs):
-        values = statistic_values(*args, **kwargs)
-        values["inv"][0] += 1
-        return values
+    def skewed_counts(*args, **kwargs):
+        # One SYT's inv moves up by one value, within its class on a skew
+        # shape, whose keys are (pinned cell, value) pairs.
+        counts = statistic_counts(*args, **kwargs)
+        low = min(counts["inv"])
+        counts["inv"] -= Counter([low])
+        counts["inv"][(low[0], low[1] + 1) if isinstance(low, tuple) else low + 1] += 1
+        return counts
 
     def broken_bridge(p):
         report = bridge_check(p)
         return BridgeReport(report.perm, report.tableau_route, report.direct_route, report.direct_route[::-1])
 
-    monkeypatch.setattr(cli, "statistic_values", skewed_values)
+    monkeypatch.setattr(cli, "statistic_counts", skewed_counts)
     monkeypatch.setattr(cli, "bridge_check", broken_bridge)
     for argv, verdict in (
         (["enumerate", "--shape", "3,2", "--check"], "check=FAIL"),
+        (["enumerate", "--shape", "2,2/1", "--check"], "check=FAIL"),
         (["foata", "--perm", "346251", "--bridge"], "bridge=FAIL"),
     ):
         assert main(argv) == 2

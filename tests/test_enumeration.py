@@ -4,6 +4,7 @@ equidistribution reports."""
 import concurrent.futures
 import sys
 import tracemalloc
+from collections import Counter
 from math import comb
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import random_syt
 import tabinv.enumeration as enumeration
 import tabinv.stats as stats
+from pass_values import PINS, counted, pass_values
 from reference_syt import brute_force_count, reference_syt
 from tabinv import (
     AlgorithmError,
@@ -31,7 +33,7 @@ from tabinv import (
     validate_filling,
 )
 from tabinv.cli import main
-from tabinv.enumeration import REPORT_VALUES, STATISTICS, statistic_values
+from tabinv.enumeration import STATISTICS, statistic_counts
 from tabinv.model import Shape
 from tabinv.stats import comaj_of, maj_of
 
@@ -147,7 +149,7 @@ class TestCounting:
         # at all: without the guard it returns six values for two SYT).
         for names in (["maj"], ["maj", "inv", "cinv"]):
             with pytest.raises(AlgorithmError):
-                statistic_values(s, names)
+                statistic_counts(s, names)
         assert main(["enumerate", "--shape", "2,2", "--check"]) == 3
 
     def test_placement_guard_rejects_a_cell_left_of_a_free_cell(self, monkeypatch):
@@ -161,7 +163,7 @@ class TestCounting:
 
         monkeypatch.setattr(enumeration, "_placements", skipping)
         with pytest.raises(AlgorithmError, match=r"^content 3 offered to cell \(1,2\) "):
-            statistic_values(parse_shape("3"), ["maj"])
+            statistic_counts(parse_shape("3"), ["maj"])
 
     @pytest.mark.parametrize("count", [1, 4, 64])
     @pytest.mark.parametrize("text", ["4,3,1", "4,3,2/2", "2,2/1", "3,3/3", ""])
@@ -254,19 +256,19 @@ class TestPartitionsAndCatalog:
 
 
 class TestDistribution:
-    def test_polynomial_from_values(self):
-        p = DistributionPolynomial.from_values([0, 1, 1, 3])
+    def test_polynomial_from_counts(self):
+        p = DistributionPolynomial.from_counts(Counter([0, 1, 1, 3]))
         assert p.coefficients == (1, 2, 0, 1)
         assert p.total == 4
         # A negative value is an error, not a count at the top exponent,
         # where indexing by -1 would put it.
         with pytest.raises(ValueError, match=r"^values must be nonnegative, got -1$"):
-            DistributionPolynomial.from_values([2, -1])
+            DistributionPolynomial.from_counts({2: 1, -1: 1})
 
     def test_polynomial_of_no_values_has_no_coefficient(self):
-        p = DistributionPolynomial.from_values([])
+        p = DistributionPolynomial.from_counts({})
         assert p == DistributionPolynomial(()) and p.total == 0
-        assert DistributionPolynomial.from_values([0]).coefficients == (1,)
+        assert DistributionPolynomial.from_counts({0: 1}).coefficients == (1,)
 
     def test_polynomial_rejects_trailing_zero(self):
         with pytest.raises(ValueError):
@@ -298,23 +300,21 @@ class TestDistribution:
 
         monkeypatch.setattr(enumeration, "_fillings", no_pass)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pass)
-        expected = (
-            r"^unknown statistic 'charge'; choose from \['cinv', 'comaj', 'inv', 'maj'\]"
-            r" or the pins \['cell_1', 'cell_n'\]$"
-        )
-        for names in (["charge"], ["maj", "charge"]):
-            with pytest.raises(ValueError, match=expected):
-                statistic_values(parse_shape("3,2"), names, workers)
+        # The pins are no statistics: the pass pins its classes itself.
+        expected = r"^unknown statistic '{}'; choose from \['cinv', 'comaj', 'inv', 'maj'\]$"
+        for names in (["charge"], ["maj", "charge"], ["cell_n"]):
+            with pytest.raises(ValueError, match=expected.format(names[-1])):
+                statistic_counts(parse_shape("3,2"), names, workers)
 
     def test_parallel_matches_serial(self):
         s = parse_shape("3,3,2")
         assert distribution(s, "inv", workers=2) == distribution(s, "inv")
 
     @pytest.mark.parametrize("text", ["4,3,1", "4,3,2/2", "4,4"])
-    def test_parallel_values_equal_serial_in_order(self, text):
+    def test_parallel_counts_equal_serial(self, text):
         s = parse_shape(text)
-        names = list(REPORT_VALUES)
-        assert statistic_values(s, names, workers=2) == statistic_values(s, names)
+        names = list(STATISTICS)
+        assert statistic_counts(s, names, workers=2) == statistic_counts(s, names) == counted(s, pass_values(s))
 
     @pytest.mark.parametrize(
         "text,workers,cpus,started",
@@ -345,23 +345,31 @@ class TestDistribution:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(enumeration, "_prefixes", recording_prefixes)
         monkeypatch.setattr(enumeration, "_available_cpus", lambda: cpus)
-        s, names = parse_shape(text), list(REPORT_VALUES)
-        assert statistic_values(s, names, workers) == statistic_values(s, names)
+        s = parse_shape(text)
+        assert statistic_counts(s, list(STATISTICS), workers) == counted(s, pass_values(s))
         assert pools == ([] if started is None else [started])
         assert asked == ([] if started is None else [8 * min(workers, cpus)])
 
-    def test_parallel_values_of_the_empty_shape(self):
+    def test_parallel_counts_of_the_empty_shape(self):
         names = ["maj", "comaj", "inv", "cinv"]
-        serial = statistic_values(Shape(()), names)
-        assert serial == {name: [0] for name in names}
-        assert statistic_values(Shape(()), names, workers=2) == serial
+        assert pass_values(Shape(()), names) == {name: [0] for name in names}
+        serial = statistic_counts(Shape(()), names)
+        assert serial == {name: Counter({0: 1}) for name in names}
+        assert statistic_counts(Shape(()), names, workers=2) == serial
 
     def test_pins_and_report_of_the_empty_shape(self):
-        assert statistic_values(Shape(()), ["cell_n", "cell_1"]) == {"cell_n": [(0, 0)], "cell_1": [(0, 0)]}
-        assert equidistribution_report(Shape(())).ok
+        # A skew shape with no cells pins its one class at (0, 0).
+        names = list(STATISTICS)
+        assert statistic_counts(Shape((2,), (2,)), names) == {name: Counter({((0, 0), 0): 1}) for name in names}
+        report = equidistribution_report(Shape(()))
+        assert report.ok
+        assert [(c.pinned_cell, c.poly_a.coefficients, c.poly_b.coefficients) for c in report.classes] == [
+            (None, (1,), (1,)),
+            (None, (1,), (1,)),
+        ]
 
 
-# The public Tableau-level functions that statistic_values stands in for.
+# The public Tableau-level functions that the pass's statistics stand in for.
 TABLEAU_VALUES = {
     "inv": inv_statistic,
     "maj": maj,
@@ -379,14 +387,42 @@ def tableau_values(s):
 
 class TestValuesFromPositions:
     def test_serial_values_equal_the_tableau_functions(self):
-        assert set(TABLEAU_VALUES) == set(REPORT_VALUES)
+        assert set(TABLEAU_VALUES) == {*STATISTICS, *PINS}
         shapes = (
             skew_catalog()
             + [parse_shape(text) for text in ("2,2/2", "3,3/1,1", "3,3,3/3", "3,3,1/1,1,1", "4,4,2/4,1", "3,2/3")]
             + [Shape(())]
         )
         for s in shapes:
-            assert statistic_values(s, list(REPORT_VALUES)) == tableau_values(s), s
+            assert pass_values(s) == tableau_values(s), s
+
+    def test_counts_are_the_values_counted(self, monkeypatch):
+        # A block of 5 SYT, so that most passes count several blocks and
+        # the last one is short or empty.  The parallel passes share one
+        # pool of two worker processes, which pickle their counters back,
+        # instead of starting a pool per shape.
+        monkeypatch.setattr(enumeration, "BLOCK", 5)
+        names = list(STATISTICS)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=2) as shared:
+
+            class SharedPool:
+                def __init__(self, max_workers):
+                    pass
+
+                def __enter__(self):
+                    return shared
+
+                def __exit__(self, *exc):
+                    return False
+
+            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SharedPool)
+            monkeypatch.setattr(enumeration, "_available_cpus", lambda: 2)
+            for s in skew_catalog() + [parse_shape("3,3/3"), Shape(())]:
+                expected = counted(s, pass_values(s))
+                assert statistic_counts(s, names) == expected, s
+                chunks = [enumeration._prefix_counts(s, prefix, names) for prefix in enumeration._prefixes(s, 4)]
+                assert {name: sum((chunk[name] for chunk in chunks), Counter()) for name in names} == expected, s
+                assert statistic_counts(s, names, workers=2) == expected, s
 
     def test_a_pass_calls_no_descent_rescan(self, monkeypatch):
         # maj_of and comaj_of raise in every tabinv module that holds them,
@@ -394,10 +430,10 @@ class TestValuesFromPositions:
         # and in prefix chunks, which start from their forced moves' sums.
         texts = ("4,3,2,1", "5,3,1", "4,3,2/2", "5,4,3/1", "3,3/3", "2,2/1")
         shapes = [parse_shape(text) for text in texts] + [Shape(())]
-        expected = {}
+        expected, names = {}, ["maj", "comaj"]
         for s in shapes:
             tableaux = list(enumerate_syt(s))
-            expected[s] = {"maj": [maj(t) for t in tableaux], "comaj": [comaj(t) for t in tableaux]}
+            expected[s] = {name: [TABLEAU_VALUES[name](t) for t in tableaux] for name in [*names, *PINS]}
 
         def rescan(pos):
             raise AssertionError("a descent rescan")
@@ -408,12 +444,18 @@ class TestValuesFromPositions:
                 if vars(module).get(name) is original:
                     monkeypatch.setattr(module, name, rescan)
         for s in shapes:
-            assert statistic_values(s, ["maj", "comaj"]) == expected[s], s
-            chunks = [enumeration._prefix_values(s, prefix, ["maj", "comaj"]) for prefix in enumeration._prefixes(s, 4)]
-            assert {name: [v for chunk in chunks for v in chunk[name]] for name in expected[s]} == expected[s], s
+            serial = {name: expected[s][name] for name in names}
+            assert pass_values(s, names) == serial, s
+            prefixes = enumeration._prefixes(s, 4)
+            chunks = [pass_values(s, names, prefix) for prefix in prefixes]
+            assert {name: [v for chunk in chunks for v in chunk[name]] for name in names} == serial, s
+            counts = counted(s, expected[s])
+            assert statistic_counts(s, names) == counts, s
+            chunks = [enumeration._prefix_counts(s, prefix, names) for prefix in prefixes]
+            assert {name: sum((chunk[name] for chunk in chunks), Counter()) for name in names} == counts, s
             if s.is_straight and s.size:
                 assert distribution(s, "maj").coefficients == random_syt.q_hook_maj(s.outer), s
-            assert distribution(s, "comaj") == DistributionPolynomial.from_values(expected[s]["comaj"]), s
+            assert distribution(s, "comaj") == DistributionPolynomial.from_counts(Counter(expected[s]["comaj"])), s
 
     def test_inv_and_cinv_keep_no_path_per_pivot(self):
         # The pass counts inv and cinv without recording the paths, so it
@@ -421,20 +463,34 @@ class TestValuesFromPositions:
         # cells; recording one heights list of width + 1 entries per pivot
         # took about 1.3 MB there.
         s = parse_shape("400/1")
-        statistic_values(s, ["inv", "cinv"])  # leaves out one-time allocations
+        statistic_counts(s, ["inv", "cinv"])  # leaves out one-time allocations
         tracemalloc.start()
         try:
-            values = statistic_values(s, ["inv", "cinv"])
+            counts = statistic_counts(s, ["inv", "cinv"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert values == {"inv": [0], "cinv": [0]}
+        assert counts == {"inv": Counter({((1, 400), 0): 1}), "cinv": Counter({((1, 2), 0): 1})}
         assert peak < 256 * 1024
 
+    def test_a_pass_keeps_no_value_per_syt(self):
+        # The pass counts each block of BLOCK SYT and drops its values, so
+        # it holds O(BLOCK) values, not one per SYT: listing the 48,048
+        # values of maj on 5,4,3,2 took about 410 KB.
+        s = Shape((5, 4, 3, 2))
+        tracemalloc.start()
+        try:
+            poly = distribution(s, "maj")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert poly.coefficients == random_syt.q_hook_maj(s.outer)
+        assert peak < 128 * 1024
+
     @pytest.mark.parametrize("text", ["4,3,1", "4,3,2/2", "4,4"])
-    def test_parallel_values_equal_the_tableau_functions(self, text):
+    def test_parallel_counts_equal_the_tableau_functions(self, text):
         s = parse_shape(text)
-        assert statistic_values(s, list(REPORT_VALUES), workers=2) == tableau_values(s)
+        assert statistic_counts(s, list(STATISTICS), workers=2) == counted(s, tableau_values(s))
 
 
 class TestEquidistribution:

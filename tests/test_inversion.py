@@ -9,6 +9,7 @@ import re
 import pytest
 
 import random_syt
+from pass_values import pass_values
 from reference_syt import reference_path, rotate_complement_into, tableau_from_rows
 from tabinv import (
     ABOVE,
@@ -45,9 +46,8 @@ from tabinv import (
 import tabinv.inversion as inversion
 import tabinv.model as model
 from tabinv.inversion import _Grid
-from tabinv.enumeration import STATISTICS, skew_catalog, statistic_values
+from tabinv.enumeration import skew_catalog, statistic_counts
 from tabinv.model import Shape, Tableau, TableauError
-from tabinv.stats import comaj_of, maj_of
 
 T22 = tableau_from_rows([[1, 2], [3, 4]])
 T22B = tableau_from_rows([[1, 3], [2, 4]])
@@ -588,24 +588,22 @@ class TestCountingCascade:
         # NE first and then SW on one instance against SW first on a fresh
         # equal one; psi and comaj_map against the last stage of map_trace
         # (on the turned tableau for comaj_map), and inv and cinv against
-        # the enumerator's statistics on the positions (the descent sums
-        # from stats), a route that reads no Tableau record.  The empty
-        # tableau is read too.
+        # the enumerator's statistics on its own walk, SYT by SYT, a route
+        # that reads no Tableau record.  The empty tableau is read too.
         for s in [Shape(())] + skew_catalog(6):
-            for t in enumerate_syt(s):
+            values = pass_values(s, ["inv", "cinv"])
+            for t, inv, cinv in zip(enumerate_syt(s), values["inv"], values["cinv"], strict=True):
                 fresh = Tableau(t.shape, t.rows)
                 ne = [fn(t) for fn in NE_READERS]
                 sw = [fn(t) for fn in SW_READERS]
                 assert [fn(fresh) for fn in SW_READERS] == sw, t.rows
                 assert [fn(fresh) for fn in NE_READERS] == ne, t.rows
-                stages, pos = map_trace(t), t.positions()
+                stages = map_trace(t)
                 image = stages[-1].result if stages else t
-                sums = maj_of(pos), comaj_of(pos)
-                assert sw[:2] == [image, STATISTICS["inv"](t.shape, pos, *sums)], t.rows
+                assert sw[:2] == [image, inv], t.rows
                 stages = map_trace(rotate_complement(t))
                 turned_image = Tableau(*stages[-1].result) if stages else rotate_complement(t)
-                ne_values = [rotate_complement_into(turned_image, t.shape), STATISTICS["cinv"](t.shape, pos, *sums)]
-                assert ne[:2] == ne_values, t.rows
+                assert ne[:2] == [rotate_complement_into(turned_image, t.shape), cinv], t.rows
 
     def test_psi_builds_one_grid(self, monkeypatch):
         # psi builds its image from the grid its cascade ran on; comaj_map
@@ -810,7 +808,7 @@ class TestStepCheck:
             (cinv_statistic, t),
             (map_trace, t),
             (lambda s: map_trace(s, forward=False), image),
-            (lambda s: statistic_values(s, ["inv", "cinv"]), t.shape),
+            (lambda s: statistic_counts(s, ["inv", "cinv"]), t.shape),
         ):
             with pytest.raises(AlgorithmError):
                 fn(arg)
