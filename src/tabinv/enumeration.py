@@ -115,8 +115,7 @@ def _fillings(s: Shape, prefix: tuple[int, ...] = ()) -> Iterator[tuple[list[lis
     adjacent pairs.  On the 48,048 SYT of 5,4,3,2 (2-core x86-64, Python
     3.11, median of five best-of-9 rounds) the walk takes 1.5 us per SYT
     and `distribution(s, "maj")`, which counts its values a block at a
-    time, 1.7 us.  When each descent looked its state up in the table they
-    took 2.2 and 2.4 us, in an earlier measurement on the same host.
+    time, 1.7 us.
 
     The guard checks every placement on the live array: the cell must be
     free, and its right and upper neighbours must be outside the shape or
@@ -359,7 +358,7 @@ def _prefix_counts(s: Shape, prefix: tuple[int, ...], names: list[str]) -> dict[
     # The content whose cell pins each statistic's classes: n for inv and
     # maj, 1 for cinv and comaj (0, whose cell pos holds as (0, 0), on a
     # skew shape with no cells).
-    pins ={} if s.is_straight else {name: s.size if name in ("inv", "maj") else min(s.size, 1) for name in names}
+    pins = {} if s.is_straight else {name: s.size if name in ("inv", "maj") else min(s.size, 1) for name in names}
     columns = {name: [] for name in names}
     cells = {c: [] for c in pins.values()}
     reads = [(STATISTICS[name], column) for name, column in columns.items()]

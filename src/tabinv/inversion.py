@@ -41,8 +41,9 @@ entries per SYT.  Only the callers that read the pairs build them
 runs each forward cascade, SW and NE, at most once: its record
 (`_forward`) stays on the Tableau, and psi, the statistic, its pairs,
 paths and code (and comaj_map and cinv_statistic, the NE mirrors of psi
-and the statistic) all read it; psi's image is built from the grid the
-cascade ran on.  phi keeps its walk on its input the same way
+and the statistic) all read it; psi's image is read off the cell that
+the cascade left each content in (`model._from_positions`), as the image
+of every map is.  phi keeps its walk on its input the same way
 (`_backward`): the blocks each reverse step cycled and the grid they
 ended on, which holds its image.  One helper (`_kept`) keeps both kinds
 of record.  phi never reads psi's record, so phi(psi(t)) == t still
@@ -166,21 +167,21 @@ class _Grid:
     def shape(self) -> Shape:
         """The shape the grid was filled in, or, if the grid is turned, the
         shape that `model._turned` puts its cells in (`model._rotated_shape`);
-        only `tableau` and a failed `check` ask for it, so a count never turns it."""
+        only `rows`, `map_trace` and a failed `check` ask for it, so a count
+        never turns it."""
         s = self.filled
         return _rotated_shape(s) if self.turned else s
 
     def rows(self) -> list[tuple[int | None, ...]]:
         """The grid's rows, unvalidated, each a tuple as `Tableau.rows`
-        holds it, in a list that `Tableau.__new__` turns into a tuple once."""
+        holds it: for `map_trace`'s unchecked fillings and the violations
+        a failed `check` reports.  A map's image is read off pos instead
+        (`model._from_positions`)."""
         s = self.shape
         return [
             (None,) * s.inner_at(i) + tuple(self.g[i][s.inner_at(i) + 1 : s.outer[i - 1] + 1])
             for i in range(1, s.n_rows + 1)
         ]
-
-    def tableau(self) -> Tableau:
-        return Tableau(self.shape, self.rows())
 
     def cycle(self, blocks: list[tuple[int, int]], forward: bool = True) -> None:
         """Cycle each block [a, b) of consecutive contents one place.
@@ -200,9 +201,8 @@ class _Grid:
                 i, j = pos[c]
                 g[i][j] = c
 
-    def check(self, moved: list[tuple[int, int]], step: str, k: int | None = None) -> None:
-        """Check the step `step`_k (or `step` with no k) that cycled the
-        blocks [a, b) in moved.
+    def check(self, moved: list[tuple[int, int]], step: str, k: int) -> None:
+        """Check the step `step`_k that cycled the blocks [a, b) in moved.
 
         Each moved content v must stand in its cell pos[v], and that cell
         must be smaller than its right and upper neighbours and larger than
@@ -228,8 +228,7 @@ class _Grid:
                 ):
                     violations = validate_filling(self.shape, self.rows())
                     violations = violations or [f"content {v} is not in its cell {pos[v]}"]
-                    context = step if k is None else f"{step}_{k}"
-                    raise AlgorithmError(f"{context} produced an invalid tableau: {violations}")
+                    raise AlgorithmError(f"{step}_{k} produced an invalid tableau: {violations}")
 
     def phi_step(self, k: int) -> list[tuple[int, int]]:
         """Reverse cycling for pivot k; returns the blocks [a, b) of two or
@@ -400,8 +399,8 @@ def forward_blocks(t: Tableau, k: int) -> BlockPartition:
 def _sw_blocks(grid: _Grid, k: int) -> BlockPartition:
     """`forward_blocks` on the contents of a grid, from the step that pivot
     k takes on it (`_cascade`); the grid is left cycled."""
-    pos = grid.pos[:]
-    ((_, h, runs),) = _cascade(grid, [k], steps=[]).steps
+    record = _cascade(grid, [k], steps=[])
+    ((_, h, runs),), pos = record.steps, record.start[1]
     i, j = pos[1]
     blocks = tuple(tuple(pos[a:b]) for a, b in _partition(runs, k))
     return BlockPartition(k, BELOW if i <= h[j] else ABOVE, blocks)
@@ -438,24 +437,24 @@ def _reversed(s: Tableau, pivots) -> tuple[list[list[tuple[int, int]]], _Grid]:
 def psi_k(t: Tableau, k: int) -> Tableau:
     """One forward cycling step for pivot k (pivots 1 and 2 cycle nothing)."""
     _check_pivot(t, k)
-    return _cascade(_Grid(t.shape, t.positions()), [k]).grid.tableau()
+    return _from_positions(t.shape, _cascade(_Grid(t.shape, t.positions()), [k]).grid.pos)
 
 
 def psi(t: Tableau) -> Tableau:
     """Composite forward map, pivots n down to 1 (2 and 1 cycle nothing);
     sends Inv to maj."""
-    return _forward(t).grid.tableau()
+    return _from_positions(t.shape, _forward(t).grid.pos)
 
 
 def phi_k(s: Tableau, k: int) -> Tableau:
     """Inverse of psi_k, by reverse cycling along the reconstructed path."""
     _check_pivot(s, k)
-    return _reversed(s, [k])[1].tableau()
+    return _from_positions(s.shape, _reversed(s, [k])[1].pos)
 
 
 def phi(s: Tableau) -> Tableau:
     """Inverse composite map, pivots 3 up to n."""
-    return _backward(s)[1].tableau()
+    return _from_positions(s.shape, _backward(s)[1].pos)
 
 
 class InversionPathSet(namedtuple("InversionPathSet", "paths exempt pairs")):

@@ -304,7 +304,9 @@ def make_tableau(shape: Shape, rows: list[list[int | None]]) -> Tableau:
 def _from_positions(shape: Shape, pos: list[Cell]) -> Tableau:
     """The Tableau of shape with content c in cell pos[c] (pos[0] unused),
     None on the inner cells.  The one builder of a tableau read off the
-    cell of each content; like every construction, it validates."""
+    cell of each content: conjugate, rotate_complement, the image of each
+    map of `inversion` and `foata.staircase_tableau`.  Like every
+    construction, it validates."""
     rows: list[list[int | None]] = [[None] * p for p in shape.outer]
     for c in range(1, len(pos)):
         i, j = pos[c]
@@ -371,7 +373,7 @@ def parse_tableau_text(text: str) -> Tableau:
         raise TableauError(["empty tableau input"])
     declared: Shape | None = None
     if lines[0].lower().startswith("shape:"):
-        declared = parse_shape(lines[0].split(":", 1)[1])
+        declared = parse_shape(lines[0].split(":", 1)[1].strip())
         lines = lines[1:]
     raw: list[list[int | None]] = []
     for ln in lines:

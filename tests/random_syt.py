@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 from math import factorial
 
-from tabinv import Shape, Tableau, make_tableau
+from tabinv import Shape, Tableau
 
 
 def random_partition(rng: random.Random, n: int) -> list[int]:
@@ -51,7 +51,7 @@ def hook_walk_rows(rng: random.Random, parts: list[int]) -> list[list[int]]:
 
 def straight_syt(rng: random.Random, n: int) -> Tableau:
     parts = random_partition(rng, n)
-    return make_tableau(Shape(tuple(parts)), hook_walk_rows(rng, parts))
+    return Tableau(Shape(tuple(parts)), hook_walk_rows(rng, parts))
 
 
 def skew_syt(rng: random.Random, n: int, removed: int) -> Tableau:
@@ -74,7 +74,7 @@ def skew_syt(rng: random.Random, n: int, removed: int) -> Tableau:
     inner = [sum(1 for v in row if v is None) for row in rows]
     while inner and inner[-1] == 0:
         inner.pop()
-    return make_tableau(Shape(tuple(parts), tuple(inner)), rows)
+    return Tableau(Shape(tuple(parts), tuple(inner)), rows)
 
 
 def q_hook_maj(parts: tuple[int, ...]) -> tuple[int, ...]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from tabinv import LatticePath, Shape, ShapeError, Tableau, make_tableau
+from tabinv import LatticePath, Shape, ShapeError, Tableau
 from tabinv.model import Cell
 
 
@@ -112,7 +112,7 @@ def reference_syt(s: Shape) -> Iterator[Tableau]:
         rows: list[list[int | None]] = [[None] * p for p in s.outer]
         for (i, j), v in assignment.items():
             rows[i - 1][j - 1] = v
-        yield make_tableau(s, rows)
+        yield Tableau(s, rows)
 
 
 def reference_path(t: Tableau, k: int, north_east: bool = False) -> LatticePath:
@@ -157,7 +157,7 @@ def tableau_from_rows(rows: list[list[int]], inner: tuple[int, ...] = ()) -> Tab
     full: list[list[int | None]] = []
     for i, r in enumerate(rows, start=1):
         full.append([None] * shape.inner_at(i) + list(r))
-    return make_tableau(shape, full)
+    return Tableau(shape, full)
 
 
 def rotate_complement_into(t: Tableau, shape: Shape) -> Tableau:
@@ -173,4 +173,4 @@ def rotate_complement_into(t: Tableau, shape: Shape) -> Tableau:
     ]
     for (i, j) in t.shape.cells():
         rows[big_r - i][big_c - j] = t.n + 1 - t.content((i, j))
-    return make_tableau(shape, rows)
+    return Tableau(shape, rows)

@@ -26,7 +26,6 @@ from tabinv import (
     forward_blocks,
     inv_code,
     inv_statistic,
-    make_tableau,
     maj,
     parse_permutation,
     parse_shape,
@@ -64,7 +63,7 @@ def delete_top(t: Tableau) -> Tableau:
     rows = [list(r) for r in t.rows]
     rows[cell[0] - 1][cell[1] - 1] = None
     rows = [r[: sub.outer[i]] for i, r in enumerate(rows[: sub.n_rows])]
-    return make_tableau(sub, rows)
+    return Tableau(sub, rows)
 
 
 def test_criterion_01_worked_example_vectors():

@@ -247,6 +247,23 @@ def test_a_shape_with_no_cells_is_a_user_error(capsys):
     assert captured.err == "error: shape '3/3' has no cells\n"
 
 
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        ("shape: 3,x\n1 2\n", "error: non-numeric token in shape '3,x'\n"),
+        ("shape: 3/3\n1 2\n", "error: shape '3/3' has no cells\n"),
+    ],
+)
+def test_a_bad_shape_line_is_quoted_as_written(text, error, capsys, monkeypatch):
+    # The space after "shape:" is not part of the shape, so the error quotes
+    # the shape as `--shape` would.
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["render", "--input", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == error
+
+
 def test_an_unknown_option_before_the_command_is_a_usage_error(capsys):
     assert main(["-x", "render", "--input", str(FIXTURES / "straight_2x2.txt")]) == 1
     captured = capsys.readouterr()

@@ -199,7 +199,8 @@ class TestCounting:
 
     @pytest.mark.parametrize("count", [1, 4, 64])
     def test_every_chunk_keeps_the_descent_sums(self, count):
-        # The sums a chunk starts from are those of its forced prefix moves.
+        # A chunk's walk places its prefix's contents through a chain of
+        # one-move lists and sums their descents as it does for any move.
         for s in skew_catalog(7):
             for prefix in enumeration._prefixes(s, count):
                 for rows, pos, maj_sum, comaj_sum in enumeration._fillings(s, prefix):
@@ -427,7 +428,8 @@ class TestValuesFromPositions:
     def test_a_pass_calls_no_descent_rescan(self, monkeypatch):
         # maj_of and comaj_of raise in every tabinv module that holds them,
         # so maj and comaj must come from the sums the walk keeps: serially
-        # and in prefix chunks, which start from their forced moves' sums.
+        # and in prefix chunks, whose walks place their prefix's contents
+        # through one-move lists and sum those descents the same way.
         texts = ("4,3,2,1", "5,3,1", "4,3,2/2", "5,4,3/1", "3,3/3", "2,2/1")
         shapes = [parse_shape(text) for text in texts] + [Shape(())]
         expected, names = {}, ["maj", "comaj"]

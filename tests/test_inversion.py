@@ -31,7 +31,6 @@ from tabinv import (
     inversion_path,
     inversion_path_set,
     maj,
-    make_tableau,
     map_trace,
     ne_blocks,
     ne_inversion_path,
@@ -51,8 +50,8 @@ from tabinv.model import Shape, Tableau, TableauError
 
 T22 = tableau_from_rows([[1, 2], [3, 4]])
 T22B = tableau_from_rows([[1, 3], [2, 4]])
-SKEW1 = make_tableau(parse_shape("2,2/1"), [[None, 1], [2, 3]])
-SKEW2 = make_tableau(parse_shape("2,2/1"), [[None, 2], [1, 3]])
+SKEW1 = Tableau(parse_shape("2,2/1"), [[None, 1], [2, 3]])
+SKEW2 = Tableau(parse_shape("2,2/1"), [[None, 2], [1, 3]])
 
 
 class TestInversionPath:
@@ -177,7 +176,7 @@ class TestBlocksAndPsi:
 
         pivots = [(t, k) for t in (T22, SKEW2) for k in range(1, t.n + 1)]
         expected = [blocks(*pivot) for pivot in pivots]
-        monkeypatch.setattr(_Grid, "tableau", built)
+        monkeypatch.setattr(inversion, "_from_positions", built)
         monkeypatch.setattr(model, "validate_filling", built)
         monkeypatch.setattr(inversion, "validate_filling", built)
         assert [blocks(*pivot) for pivot in pivots] == expected
@@ -516,11 +515,11 @@ class TestNeFunctions:
         for text in UNNORMALIZED + ("3,2", "4,3,1/2", "3,2/3"):
             for t in enumerate_syt(parse_shape(text)):
                 grid = _Grid(t.shape, t.positions(), turned=True)
-                assert grid.tableau() == rotate_complement(t)
+                assert Tableau(grid.shape, grid.rows()) == rotate_complement(t)
                 assert grid.pos == rotate_complement(t).positions()
                 back = inversion._turned(t.shape, grid.pos)  # turned twice
                 assert back == t.positions()
-                assert _Grid(t.shape, back).tableau() == t
+                assert Tableau(t.shape, _Grid(t.shape, back).rows()) == t
 
     @pytest.mark.parametrize("fn", [cinv_statistic, comaj_map, lambda t: ne_inversion_path(t, 2)])
     def test_input_is_validated_once(self, fn, monkeypatch):
@@ -535,7 +534,7 @@ class TestNeFunctions:
 
         monkeypatch.setattr(model, "validate_filling", counting)
         monkeypatch.setattr(inversion, "validate_filling", counting)
-        for t in (SKEW1, make_tableau(parse_shape("3,3/1,1"), [[None, 1, 3], [None, 2, 4]])):
+        for t in (SKEW1, Tableau(parse_shape("3,3/1,1"), [[None, 1, 3], [None, 2, 4]])):
             calls.clear()
             fn(t)
             assert len(calls) == (1 if fn is comaj_map else 0)
@@ -568,7 +567,7 @@ class TestCountingCascade:
         same, other = (SW_READERS, NE_READERS) if first in SW_READERS else (NE_READERS, SW_READERS)
         for t in (
             tableau_from_rows([[1, 2, 5], [3, 4, 6], [7]]),
-            make_tableau(parse_shape("4,3,2/2,1"), [[None, None, 1, 3], [None, 2, 5], [4, 6]]),
+            Tableau(parse_shape("4,3,2/2,1"), [[None, None, 1, 3], [None, 2, 5], [4, 6]]),
         ):
             cascade = t.n  # pivots n down to 1, 2 and 1 cycling nothing
             steps.clear()
@@ -623,6 +622,27 @@ class TestCountingCascade:
                 grids.clear()
                 fn(Tableau(t.shape, t.rows))
                 assert len(grids) == count, (fn.__name__, t.rows)
+
+    @pytest.mark.parametrize(
+        "fn",
+        [psi, phi, lambda t: psi_k(t, t.n), lambda t: phi_k(t, t.n), comaj_map],
+        ids=["psi", "phi", "psi_k", "phi_k", "comaj_map"],
+    )
+    def test_each_map_reads_its_image_off_positions_once(self, fn, monkeypatch):
+        # Every map builds its image in one call of the one builder of a
+        # tableau read off the cell of each content (`model._from_positions`).
+        built = []
+        build = inversion._from_positions
+
+        def counting(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(inversion, "_from_positions", counting)
+        for t in (T22B, SKEW2, tableau_from_rows([[1, 2, 5], [3, 4, 6], [7]])):
+            built.clear()
+            image = fn(Tableau(t.shape, t.rows))
+            assert len(built) == 1 and built[0] is image, t.rows
 
     def test_the_record_leaves_equality_hash_and_repr_alone(self):
         for t in _ne_tableaux(4):
@@ -702,7 +722,7 @@ class TestUnnormalizedShapes:
 def _run_check(grid, moved):
     """True when the step check accepts the grid's current contents."""
     try:
-        grid.check(moved, "test")
+        grid.check(moved, "test", len(grid.pos) - 1)  # the pivot only names the step
     except AlgorithmError:
         return False
     return True
@@ -771,17 +791,17 @@ class TestStepCheck:
     def test_cycle_rotates_a_run_of_positions(self):
         grid = _Grid(T22B.shape, T22B.positions())
         grid.cycle([(2, 4)])
-        assert grid.tableau() == T22 and grid.pos == T22.positions()
-        grid.check([(2, 4)], "test")
+        assert Tableau(grid.shape, grid.rows()) == T22 and grid.pos == T22.positions()
+        grid.check([(2, 4)], "test", 4)
         grid.cycle([(2, 4)], forward=False)
-        assert grid.tableau() == T22B and grid.pos == T22B.positions()
+        assert Tableau(grid.shape, grid.rows()) == T22B and grid.pos == T22B.positions()
         t = tableau_from_rows([[1, 2, 3, 4]])
         row = _Grid(t.shape, t.positions())
         row.cycle([(1, 4)])
         assert row.g[1][1:5] == [3, 1, 2, 4] and row.pos == [(0, 0), (1, 2), (1, 3), (1, 1), (1, 4)]
         violation = r"\['row not increasing: cell \(1,1\)=3 vs \(1,2\)=1'\]"
-        with pytest.raises(AlgorithmError, match=rf"^test produced an invalid tableau: {violation}$"):
-            row.check([(1, 4)], "test")
+        with pytest.raises(AlgorithmError, match=rf"^test_4 produced an invalid tableau: {violation}$"):
+            row.check([(1, 4)], "test", 4)
 
     @pytest.mark.parametrize("fault", ["off_by_one", "duplicate", "swapped_cells"])
     def test_bad_cycling_write_raises(self, monkeypatch, fault):

@@ -103,7 +103,7 @@ class TestTableau:
     def test_content_of_a_cell_outside_the_shape_is_an_error(self, cell):
         # Row 0 and column 0 must not wrap round to the last row or column,
         # and an inner cell has no content.
-        t = make_tableau(parse_shape("3,2/1"), [[None, 1, 2], [3, 4]])
+        t = Tableau(parse_shape("3,2/1"), [[None, 1, 2], [3, 4]])
         with pytest.raises(ValueError, match=rf"^cell \({cell[0]}, {cell[1]}\) is not a cell of shape 3,2/1$"):
             t.content(cell)
 
@@ -116,7 +116,7 @@ class TestTableau:
             tableau_from_rows([[3, 4], [1, 2]])  # column decreasing upward
 
     def test_replace_cannot_make_a_non_standard_tableau(self):
-        t = make_tableau(Shape((2,)), [[1, 2]])
+        t = Tableau(Shape((2,)), [[1, 2]])
         with pytest.raises(TableauError, match=r"^duplicate content 2 at cells \(1,1\) and \(1,2\); row not"):
             t.replace({(1, 1): 2})
 
@@ -150,7 +150,7 @@ class TestTableau:
             Tableau(Shape((2,)), [[True, 2]])
 
     def test_skew_tableau_construction(self):
-        t = make_tableau(parse_shape("2,2/1"), [[None, 1], [2, 3]])
+        t = Tableau(parse_shape("2,2/1"), [[None, 1], [2, 3]])
         assert t.content((1, 2)) == 1
         assert t.content((2, 1)) == 2
 
@@ -201,7 +201,7 @@ class TestSerialization:
         assert parse_tableau_text(tableau_to_text(t)) == t
 
     def test_text_round_trip_skew(self):
-        t = make_tableau(parse_shape("2,2/1"), [[None, 1], [2, 3]])
+        t = Tableau(parse_shape("2,2/1"), [[None, 1], [2, 3]])
         text = tableau_to_text(t)
         assert text == "shape: 2,2/1\n. 1\n2 3\n"
         assert parse_tableau_text(text) == t
@@ -238,7 +238,7 @@ class TestSerialization:
         assert str(caught.value) == message
 
     def test_json_round_trip(self):
-        t = make_tableau(parse_shape("3,3/1"), [[None, 1, 3], [2, 4, 5]])
+        t = Tableau(parse_shape("3,3/1"), [[None, 1, 3], [2, 4, 5]])
         d = tableau_to_json_dict(t)
         assert Tableau(Shape(tuple(d["shape"]), tuple(d["inner"])), d["rows"]) == t
 

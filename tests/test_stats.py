@@ -2,10 +2,10 @@
 
 from reference_syt import tableau_from_rows
 from tabinv import (
+    Tableau,
     comaj,
     descent_set,
     maj,
-    make_tableau,
     parse_shape,
     rotate_complement,
 )
@@ -25,7 +25,7 @@ def test_maj_and_comaj():
 
 
 def test_skew_descents():
-    t = make_tableau(parse_shape("2,2/1"), [[None, 2], [1, 3]])
+    t = Tableau(parse_shape("2,2/1"), [[None, 2], [1, 3]])
     assert descent_set(t) == {2}
     assert maj(t) == 2
     assert comaj(t) == 1
